@@ -22,9 +22,10 @@ Anything the closure cannot replay bit-exactly *deopts*: the exit
 records pc/npc of the offending instruction with zero of its effects
 applied, so the interpreter re-executes it from fetch.  Deopt sites are
 load/store address misalignment (trap path), d-cache probe misses
-(refill, parity, uncached timing), stores outside SRAM (protector,
-read-only PROM, APB side effects) and misaligned JMPL targets.
-Everything else -- interrupts, traps, parity/EDAC suspects, TMR
+(refill, parity suspects, uncached timing), stores outside SRAM
+(protector, read-only PROM, APB side effects) and misaligned JMPL
+targets.  Everything else -- interrupts, traps, suspects in the block's
+registers, i-cache words or (for blocks with stores) d-cache tags, TMR
 upsets, peripheral activity -- is excluded by the burst entry guards in
 :mod:`repro.jit.engine` and cannot arise mid-burst (memory-mapped
 peripherals are only reachable through stores, which deopt first).
@@ -97,12 +98,13 @@ _ALIGN_MASK = {Op3Mem.LD: 3, Op3Mem.LDUB: 0, Op3Mem.LDUH: 1,
 class CompiledBlock:
     """One compiled trace block and the facts the engine needs to run it."""
 
-    __slots__ = ("pc", "end_pc", "verify", "addresses", "fn",
-                 "max_path_instructions", "source")
+    __slots__ = ("pc", "end_pc", "verify", "addresses", "regs",
+                 "has_store", "fn", "max_path_instructions", "source")
 
     def __init__(self, pc: int, end_pc: int,
                  verify: Tuple[Tuple[int, int], ...],
-                 addresses: Set[int], fn,
+                 addresses: Set[int], regs: Tuple[int, ...],
+                 has_store: bool, fn,
                  max_path_instructions: int, source: str) -> None:
         self.pc = pc
         self.end_pc = end_pc
@@ -113,6 +115,16 @@ class CompiledBlock:
         #: Every pc the interpreter would visit inside a burst iteration;
         #: a stop_pc in this set forbids compiled execution.
         self.addresses = addresses
+        #: Architectural registers (``%g0`` excluded) the block reads or
+        #: writes.  The codegen ``use()``s every source operand of every
+        #: executed instruction, even ones the closure ignores (RDASR's
+        #: rs1), so this covers each register the interpreter's
+        #: execute-stage check would examine.  A register-file suspect
+        #: among them, mapped through the entry CWP, refuses the burst.
+        self.regs = regs
+        #: The block contains a store, which probes the d-cache tag RAM
+        #: through ``DataCache.write``; a suspect tag refuses the burst.
+        self.has_store = has_store
         self.fn = fn
         #: Most instructions one loop iteration can retire; the budget
         #: guard exits while at least this many remain.
@@ -742,6 +754,7 @@ def build_block(system, pc: int) -> Optional[CompiledBlock]:
         verify += ((ender[0], ender[1]), (delay[0], delay[1]))
         addresses.add(ender[0])
         addresses.add(delay[0])
-    return CompiledBlock(pc, end_pc, verify, addresses, fn,
-                         max_path, source)
+    regs = tuple(sorted(gen.reads | gen.written))
+    return CompiledBlock(pc, end_pc, verify, addresses, regs,
+                         gen.any_store, fn, max_path, source)
 

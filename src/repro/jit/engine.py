@@ -17,11 +17,35 @@ interpreter would take its fault-free fast path for the whole burst:
 * quiescent peripherals -- watchdog never started, timers disabled,
   UART shifters empty, DMA idle -- which makes the per-step APB tick a
   proven no-op for any number of burst cycles, so it is skipped;
-* no fault in flight: every TMR register guard-listed clean, every
-  parity/EDAC suspect set empty, the write protector disabled;
+* no fault in flight: every TMR register guard-listed clean, the
+  write protector disabled;
 * caches enabled and every block word still verifying against the
   i-cache (a mismatch -- eviction, injected suspect, reloaded program
   -- drops the block for recompilation);
+* no parity/BCH suspect the burst could meet.  Upsets outside the
+  block's footprint stay latent exactly as under interpretation, so
+  each array is guarded only where the burst touches it:
+
+  - i-cache: no extra guard.  Word verification goes through
+    ``peek_word``, which fails for a suspect tag or data index, and a
+    burst fetches no word outside its block;
+  - d-cache loads: no guard.  Compiled loads probe with ``DPEEK``
+    (``peek_word``) and deopt on ``None``, so the interpreter performs
+    the forced miss;
+  - d-cache stores: a block containing a store is refused while any
+    d-cache tag is suspect (the store's tag probe would detect it).  A
+    word store to a suspect *data* word runs the real
+    ``DataCache.write``, which clears the suspect as interpretation
+    does;
+  - register file: the block's registers (read, written, or checked by
+    the interpreter's execute stage) are mapped through the entry CWP
+    with the block prologue's formula; the burst is refused if any of
+    them is suspect.  No block instruction changes the CWP.
+
+  These refusals are counted in ``stats["suspect_rejects"]``; they are
+  reached only while a suspect set is non-empty, so fault-free entry
+  pays only the emptiness tests of the d-cache tag and register-file
+  sets;
 * a stop_pc never inside the block and enough instruction budget for
   one worst-case iteration.
 
@@ -95,6 +119,7 @@ class JitEngine:
             self._uart1_status, self._uart2_status, self._dma_status,
         )
         self._regfile = iu.regfile
+        self._nw16 = iu.regfile.nwindows * 16
         self._icache = system.icache
         self._dcache = system.dcache
         self._protector = system.memctrl.write_protector
@@ -102,7 +127,7 @@ class JitEngine:
         self.stats = {
             "bursts": 0, "burst_instructions": 0, "burst_steps": 0,
             "deopts": 0, "compiles": 0, "compile_failures": 0,
-            "verify_drops": 0,
+            "verify_drops": 0, "suspect_rejects": 0,
         }
 
     def invalidate(self) -> None:
@@ -195,19 +220,28 @@ class JitEngine:
             return None
         if self._dma_status._lanes[0] & _STATUS_BUSY:
             return None
-        # Suspect sets are re-resolved through their owners: restore()
-        # rebinds them.
         icache = self._icache
         dcache = self._dcache
-        if (self._regfile._suspect or icache.tag_ram._suspect
-                or icache.data_ram._suspect or dcache.tag_ram._suspect
-                or dcache.data_ram._suspect):
-            return None
         if not (icache.enabled and dcache.enabled):
             return None
         for unit in self._protector.units:
             if unit.mode is not WpMode.DISABLED:
                 return None
+        # Footprint-scoped suspect guards.  Suspect sets are re-resolved
+        # through their owners: restore() rebinds them.  Cache suspects
+        # elsewhere are covered by word verification (i-cache) and the
+        # DPEEK deopt (d-cache loads).
+        if block.has_store and dcache.tag_ram._suspect:
+            self.stats["suspect_rejects"] += 1
+            return None
+        suspect = self._regfile._suspect
+        if suspect:
+            cw = (psr_raw & 31) << 4
+            nw16 = self._nw16
+            for reg in block.regs:
+                if (reg if reg < 8 else 8 + (cw + reg - 8) % nw16) in suspect:
+                    self.stats["suspect_rejects"] += 1
+                    return None
         ipeek = icache.peek_word
         for addr, word in block.verify:
             if ipeek(addr) != word:

@@ -5,8 +5,9 @@ trace JIT enabled and disabled -- and asserts the *complete* observable
 surface matches: architectural ``state_digest``, every performance and
 error counter, and the telemetry event stream.  The corpus covers the
 three paper programs, seeded random programs, mid-run fault strikes into
-cells covered by compiled blocks, stuck-at reasserts, and the
-snapshot/restore and stop-pc edges of ``run_fast``.
+cells covered by compiled blocks, latent strikes outside every block's
+footprint (which must not keep the JIT off), stuck-at reasserts, and
+the snapshot/restore and stop-pc edges of ``run_fast``.
 """
 
 import dataclasses
@@ -20,6 +21,8 @@ from repro.fault.executor import CampaignExecutor, expand_runs
 from repro.fault.injector import FaultInjector
 from repro.programs import build_cncf, build_iutest, build_paranoia
 from repro.programs.builder import ProgramHarness
+from repro.programs.builder import TestLayout as ResultLayout
+from repro.programs.builder import build_test_program
 from repro.programs.randgen import build_random
 from repro.telemetry import MemorySink, Telemetry
 
@@ -263,3 +266,175 @@ def test_repro_jit_env_disables(monkeypatch):
     assert LeonSystem(LeonConfig.fault_tolerant()).jit is None
     monkeypatch.delenv("REPRO_JIT")
     assert LeonSystem(LeonConfig.fault_tolerant()).jit is not None
+
+
+# -- latent upsets outside the block footprint ---------------------------------
+
+#: Two hot blocks in the window ``save`` opens (not window 0): an
+#: ALU-only inner loop and a load/store tail.  ``DATA`` is the only
+#: d-cache line ever loaded; ``DATA + 0x40`` is only ever stored to (no
+#: write-allocate), so its tag is probed by the store and nothing else.
+#: ``rd %asr17`` makes the interpreter check %l1 as a source operand
+#: although the compiled closure never reads it.
+_LOOP_BODY = """
+main:
+    save %sp, -96, %sp
+    set DATA, %o0
+    mov 0, %l0
+outer:
+    mov 40, %l6
+inner:
+    add %l0, %l6, %l0
+    xor %l0, 0x55, %l2
+    sll %l2, 1, %l2
+    subcc %l6, 1, %l6
+    bne inner
+    add %l2, %l0, %l3
+    ld [%o0], %l4
+    add %l4, %l3, %l4
+    st %l4, [%o0]
+    .word 0xab444000  ! rd %asr17, %l5 (no assembler syntax for asr17)
+    st %l2, [%o0 + 0x40]
+    ba outer
+    nop
+"""
+
+
+def _loop_pair():
+    """JIT-off and JIT-on systems running the loop, hot and compiled."""
+    config = LeonConfig.fault_tolerant()
+    builder = lambda c: build_test_program(_LOOP_BODY, c)
+    pair = [_boot(builder, config, jit) for jit in (False, True)]
+    for system, _sink in pair:
+        system.run_fast(20_000)
+    assert pair[1][0].jit.stats["bursts"] > 0
+    return pair
+
+
+def _site(system, name):
+    """Word index of a cell the loop never reads or writes."""
+    layout = ResultLayout.for_config(system.config)
+    if name.startswith("icache"):
+        # The trap table is never fetched in a trap-free run.
+        line = system.icache._index(layout.base + 0x800)
+        return line if name == "icache-tag" else line * 4 + 1
+    if name.startswith("dcache"):
+        line = system.dcache._index(layout.data + 0x200)
+        return line if name == "dcache-tag" else line * 4 + 2
+    # %l2 of a window the loop never enters.
+    return system.regfile.physical_index(_loop_window(system) + 4, 18)
+
+
+def _loop_window(system):
+    cwp = system.iu.r.psr.cwp
+    assert cwp != 0, "the loop must run outside window 0"
+    return cwp
+
+
+def _strike(pair, name, word, bit=5):
+    for system, _sink in pair:
+        injector = FaultInjector(system)
+        injector.inject(name, word * injector.target(name).bits_per_word + bit)
+
+
+def _run_pair(pair, chunk=20_000):
+    (interp, interp_sink), (compiled, compiled_sink) = pair
+    r0 = interp.run_fast(chunk)
+    r1 = compiled.run_fast(chunk)
+    assert (r1.instructions, r1.cycles, r1.pc) == \
+        (r0.instructions, r0.cycles, r0.pc)
+    _assert_pair_equal(_observables(interp, interp_sink),
+                       _observables(compiled, compiled_sink))
+
+
+def _latent(pair, name, word):
+    return all(FaultInjector(system).is_latent(name, word)
+               for system, _sink in pair)
+
+
+@pytest.mark.parametrize("name", ["icache-data", "icache-tag",
+                                  "dcache-data", "regfile"])
+def test_latent_strike_outside_footprint_keeps_bursts(name):
+    """An upset the loop never touches stays latent under interpretation;
+    compiled bursts must keep running beside it, byte-identically."""
+    pair = _loop_pair()
+    stats = pair[1][0].jit.stats
+    word = _site(pair[0][0], name)
+    _strike(pair, name, word)
+    bursts = stats["bursts"]
+    _run_pair(pair)
+    assert _latent(pair, name, word)
+    assert stats["bursts"] > bursts, "latent upset kept the JIT off"
+    assert stats["suspect_rejects"] == 0
+
+
+def test_accumulated_strikes_scope_refusals_to_the_footprint():
+    """Strikes pile up in all five suspect-bearing arrays.  Only a suspect
+    in the block's own registers (at the entry CWP) or a d-cache tag
+    suspect under a store block refuses a burst; the refusal counter
+    makes any over-refusal visible."""
+    pair = _loop_pair()
+    system = pair[0][0]
+    stats = pair[1][0].jit.stats
+    latent = []
+    for name in ("icache-data", "icache-tag", "dcache-data", "regfile"):
+        latent.append((name, _site(system, name)))
+        _strike(pair, *latent[-1])
+        bursts = stats["bursts"]
+        _run_pair(pair)
+        assert stats["bursts"] > bursts, name
+    # %l0 is in the loop's footprint, but this copy lives in another
+    # window.
+    window = _loop_window(system)
+    latent.append(("regfile", system.regfile.physical_index(window + 2, 16)))
+    _strike(pair, *latent[-1])
+    bursts = stats["bursts"]
+    _run_pair(pair)
+    assert stats["bursts"] > bursts
+    assert stats["suspect_rejects"] == 0
+    assert all(_latent(pair, *site) for site in latent)
+
+    # %l1 of the loop's window, checked only by ``rd %asr17``, the fourth
+    # instruction of the store tail.  A block covering it is refused at
+    # most once per tail instruction the interpreter steps through; the
+    # ``rd`` operand check then corrects the register and bursts resume.
+    live = system.regfile.physical_index(window, 17)
+    _strike(pair, "regfile", live)
+    _run_pair(pair)
+    assert not _latent(pair, "regfile", live)
+    assert system.errors.rfe == 1
+    rejects = stats["suspect_rejects"]
+    assert 1 <= rejects <= 4
+    bursts = stats["bursts"]
+    _run_pair(pair)
+    assert stats["bursts"] > bursts
+    assert stats["suspect_rejects"] == rejects
+
+    # A latent d-cache tag suspect refuses the store block on every
+    # entry; the ALU-only inner loop keeps bursting.
+    latent.append(("dcache-tag", _site(system, "dcache-tag")))
+    _strike(pair, *latent[-1])
+    bursts = stats["bursts"]
+    _run_pair(pair)
+    assert stats["bursts"] > bursts
+    assert stats["suspect_rejects"] > rejects
+    assert all(_latent(pair, *site) for site in latent)
+
+
+def test_word_store_into_suspect_dcache_tag():
+    """A word store probes its line's tag: with the tag suspect it must
+    count the parity error and invalidate the line exactly as the
+    interpreter does, then bursts resume."""
+    pair = _loop_pair()
+    system = pair[0][0]
+    stats = pair[1][0].jit.stats
+    layout = ResultLayout.for_config(system.config)
+    line = system.dcache._index(layout.data + 0x40)
+    _strike(pair, "dcache-tag", line)
+    _run_pair(pair, chunk=2_000)
+    assert not _latent(pair, "dcache-tag", line)
+    assert system.errors.dte == 1
+    assert stats["suspect_rejects"] > 0
+    bursts = stats["bursts"]
+    _run_pair(pair)
+    assert stats["bursts"] > bursts
