@@ -20,7 +20,6 @@ from repro.fault.campaign import (
 )
 from repro.fault.grading import (
     GoldenCheckpoint,
-    GoldenRun,
     GoldenTimeline,
     checkpoint_schedule,
     first_strike_instructions,
@@ -55,7 +54,6 @@ __all__ = [
     "CrossSectionCurve",
     "FaultInjector",
     "GoldenCheckpoint",
-    "GoldenRun",
     "GoldenTimeline",
     "HeavyIonBeam",
     "ResultStore",

@@ -34,7 +34,6 @@ from repro.fault.grading import (
     DEFAULT_CHECKPOINTS,
     DivergenceFix,
     GoldenCheckpoint,
-    GoldenRun,
     GoldenTimeline,
     checkpoint_schedule,
     divergence_exit,
@@ -179,12 +178,6 @@ class CampaignResult:
     instructions: int
     #: Host wall-clock time of the run, seconds (0.0 in pre-existing logs).
     wall_seconds: float = 0.0
-    #: True when a warm-start run was classified early: its architectural
-    #: state at the window close matched the golden run, so the tail was
-    #: skipped and the golden readouts used.  Execution annotation only --
-    #: every *measured* field is identical to the full run's; cold runs
-    #: always report False because they have no golden digest to compare.
-    effaced: bool = False
     #: Device cycles the run consumed, including recovery downtime
     #: (0 in pre-existing logs).
     cycles: int = 0
@@ -199,9 +192,13 @@ class CampaignResult:
     #: exhausted or no applicable rung) and the run ended failed.
     unrecovered: bool = False
     #: How classification concluded: ``"full"`` (the complete measurement
-    #: loop executed) or ``"reconverged"`` (the architectural digest hit a
-    #: golden-timeline checkpoint and the golden readouts were reported).
-    #: ``""`` in pre-grading logs.  Execution annotation, like ``effaced``.
+    #: loop executed), ``"reconverged"`` (the architectural digest hit a
+    #: golden-timeline checkpoint and the golden readouts were reported),
+    #: ``"diverged"`` (a fixed point was caught and its periods through
+    #: the run end extrapolated) or ``"static_masked"`` (the ACE map
+    #: proved every strike dead; nothing was executed).  ``""`` in
+    #: pre-grading logs.  Execution annotation only -- every *measured*
+    #: field is identical to the full run's.
     exit_reason: str = ""
     #: Instruction count at which grading concluded an early exit
     #: (None for full runs and pre-grading logs).
@@ -209,6 +206,13 @@ class CampaignResult:
     #: Telemetry events of the run (traced executor runs only; never
     #: serialized to the ResultStore -- traces have their own sink).
     trace: Optional[list] = None
+
+    @property
+    def effaced(self) -> bool:
+        """True when the run reported the golden readouts: its faulted
+        trajectory provably rejoined (or never left) the golden one.  Cold
+        runs have no golden timeline and are never effaced."""
+        return self.exit_reason in ("reconverged", "static_masked")
 
     @property
     def instructions_per_second(self) -> float:
@@ -276,16 +280,15 @@ class CampaignResult:
     def comparable(self) -> Dict[str, object]:
         """The deterministic measurement fields, for byte-identity checks.
 
-        Excludes ``wall_seconds`` (host timing), ``effaced``,
-        ``exit_reason`` and ``graded_at_instruction`` (execution
-        annotations that depend on whether a golden timeline was
-        available, not on what was measured), ``trace`` (observation,
+        Excludes ``wall_seconds`` (host timing), ``exit_reason`` and
+        ``graded_at_instruction`` (execution annotations that depend on
+        whether a golden timeline was available, not on what was
+        measured; ``effaced`` derives from them), ``trace`` (observation,
         with host wall times inside), and the config's ``early_exit``
         strategy switch.
         """
         out = dataclasses.asdict(self)
         out.pop("wall_seconds", None)
-        out.pop("effaced", None)
         out.pop("exit_reason", None)
         out.pop("graded_at_instruction", None)
         out.pop("trace", None)
@@ -318,7 +321,7 @@ def warm_start_key(config: CampaignConfig) -> tuple:
 
 @dataclass(frozen=True)
 class WarmStart:
-    """A shared campaign prefix: snapshot bytes plus golden-run data.
+    """A shared campaign prefix: snapshot bytes plus the golden timeline.
 
     Produced once by :func:`prepare_warm_start` in the parent process and
     shipped (pickled) to every worker; workers restore the snapshot instead
@@ -332,16 +335,60 @@ class WarmStart:
     failed: bool
     spin_pc: int
     result_base: int
-    golden: Optional[GoldenRun]
-    #: Golden digest timeline for early-exit grading and strike batching
-    #: (None when the golden run failed before the window closed).
+    #: Golden digest timeline and end-of-run readouts, for early-exit
+    #: grading and strike batching.  None exactly when the golden run
+    #: parked at or before the window close.
     timeline: Optional[GoldenTimeline] = None
     #: Static ACE map of the program from the snapshot state
     #: (:mod:`repro.analysis.program`), for strike pre-classification.
     #: Only attached when the golden run completed trap-free -- the
-    #: soundness witness the static claims require -- and None for
-    #: pre-static warm starts.
+    #: soundness witness the static claims require.
     ace: Optional[AceMap] = None
+
+
+@dataclass
+class _RunContext:
+    """One run in flight: what setup, the strike loop, the grading ladder
+    and the readout share."""
+
+    started: float
+    #: None for a statically graded run, which executes nothing.
+    system: Optional[LeonSystem]
+    spin: int = 0
+    result_base: int = 0
+    #: ``executed`` / ``since_flush`` / ``failed`` (see ``_run_until``).
+    state: Dict = field(default_factory=dict)
+    recovery: Optional[RecoveryController] = None
+    #: Result-area tallies banked by reset recoveries, and the baselines
+    #: the next harvest subtracts.
+    harvested: Dict[str, int] = field(default_factory=lambda: {
+        "sw_errors": 0, "error_traps": 0, "iterations": 0,
+        "base_sw_errors": 0, "base_iterations": 0})
+    injector: Optional[FaultInjector] = None
+    upsets_by_target: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def recovered(self) -> bool:
+        """Whether a recovery fired (such runs are never graded early:
+        their readouts carry harvested tallies the golden run lacks)."""
+        return self.recovery is not None and bool(self.recovery.events)
+
+    def harvest(self, system: LeonSystem) -> None:
+        """Bank the program's software-visible tallies accumulated since
+        the last reset -- before a reset discards execution state, and
+        once more when the host reads the result area at the run end."""
+        read, base, banked = system.read_word, self.result_base, \
+            self.harvested
+        banked["sw_errors"] += read(base + 0x14) - banked["base_sw_errors"]
+        banked["iterations"] += read(base + 0x10) - banked["base_iterations"]
+        banked["error_traps"] += int(read(base + 0x08) == 1)
+
+    def count_upset(self, strike) -> None:
+        tally = self.upsets_by_target
+        tally[strike.target] = tally.get(strike.target, 0) + 1
+        if strike.mbu:
+            tally[strike.target + "+mbu"] = \
+                tally.get(strike.target + "+mbu", 0) + 1
 
 
 class Campaign:
@@ -398,7 +445,7 @@ class Campaign:
             run = system.run(chunk, stop_pc=spin)
             state["executed"] += run.instructions
             state["since_flush"] += run.instructions
-            if run.stop_reason in ("halted", "stop-pc", "predicate"):
+            if run.stop_reason in ("halted", "stop-pc"):
                 state["failed"] = True
                 return
             if period and state["since_flush"] >= period:
@@ -413,9 +460,8 @@ class Campaign:
                 # re-assert schedule is identical across jobs/warm/cold.
                 self._reassert()
 
-    def _make_recovery(self, system: LeonSystem, result_base: int,
-                       warm: Optional[WarmStart],
-                       harvested: Dict[str, int]) -> Optional[RecoveryController]:
+    def _make_recovery(self, ctx: _RunContext, warm: Optional[WarmStart]
+                       ) -> Optional[RecoveryController]:
         """Build the run's :class:`RecoveryController` (None without a policy).
 
         Called with the system at the beam-window entry (prefix executed):
@@ -431,35 +477,23 @@ class Campaign:
             if warm is not None:
                 checkpoint = Snapshot.from_bytes(warm.snapshot)
             else:
-                checkpoint = system.snapshot()
+                checkpoint = ctx.system.snapshot()
         if RecoveryLevel.COLD_REBOOT in policy.ladder:
             boot, _spin, _rb, _program = self._build_program()
             boot = boot.snapshot()
+        return RecoveryController(ctx.system, policy, checkpoint=checkpoint,
+                                  boot_snapshot=boot,
+                                  on_state_loss=ctx.harvest)
 
-        def harvest(sys_: LeonSystem) -> None:
-            # Before a reset discards execution state, bank the program's
-            # software-visible tallies accumulated since the last reset.
-            read = sys_.read_word
-            harvested["sw_errors"] += \
-                read(result_base + 0x14) - harvested["base_sw_errors"]
-            harvested["iterations"] += \
-                read(result_base + 0x10) - harvested["base_iterations"]
-            harvested["error_traps"] += int(read(result_base + 0x08) == 1)
-
-        return RecoveryController(system, policy, checkpoint=checkpoint,
-                                  boot_snapshot=boot, on_state_loss=harvest)
-
-    def _advance(self, system: LeonSystem, spin: int, state: Dict,
-                 target_instructions: int,
-                 recovery: Optional[RecoveryController],
-                 harvested: Dict[str, int], result_base: int) -> bool:
+    def _advance(self, ctx: _RunContext, target_instructions: int) -> bool:
         """Advance to ``target_instructions``, recovering through failures.
 
         Returns False when the run is dead: no policy configured, or the
         policy gave up -- the caller ends the run with the failure standing.
         """
+        system, state, recovery = ctx.system, ctx.state, ctx.recovery
         while True:
-            self._run_until(system, spin, state, target_instructions)
+            self._run_until(system, ctx.spin, state, target_instructions)
             if not state["failed"]:
                 return True
             if recovery is None:
@@ -473,21 +507,33 @@ class Campaign:
             if event.state_loss:
                 # The restored image's result-area values are the new
                 # baseline the next harvest subtracts.
-                read = system.read_word
-                harvested["base_sw_errors"] = read(result_base + 0x14)
-                harvested["base_iterations"] = read(result_base + 0x10)
+                read, base = system.read_word, ctx.result_base
+                ctx.harvested["base_sw_errors"] = read(base + 0x14)
+                ctx.harvested["base_iterations"] = read(base + 0x10)
                 state["since_flush"] = 0
+
+    def _strike_at(self, strike) -> int:
+        """Absolute instruction count at which *strike* lands."""
+        config = self.config
+        prefix, window, _tail = config.phase_instructions()
+        return prefix + min(
+            int(strike.time_s * config.instructions_per_second), window)
 
     def run(self, warm: Optional[WarmStart] = None, *,
             start: Optional[GoldenCheckpoint] = None) -> CampaignResult:
+        """Execute one run: setup, strike loop, grading ladder, readout.
+
+        ``warm`` skips the fault-free prefix (and grades against its
+        golden timeline); ``start`` is a batched golden checkpoint to
+        resume from instead of the warm snapshot.
+        """
         started = time.perf_counter()
         config = self.config
-        self._reassert = None  # installed below once the injector exists
+        self._reassert = None  # installed by the strike loop if persistent
         telemetry = self.telemetry
         traced = telemetry.enabled
         prefix, window, tail = config.phase_instructions()
-        window_close = prefix + window
-        total_instructions = window_close + tail
+        total_instructions = prefix + window + tail
 
         if traced:
             telemetry.note("run-start", program=config.program,
@@ -508,66 +554,11 @@ class Campaign:
                 raise ConfigurationError(
                     "warm start was prepared for an incompatible campaign "
                     "configuration")
-            # Static pre-classification: when every scheduled strike lands
-            # in a register word the ACE map proved dead, the faulted
-            # trajectory *is* the golden trajectory and the run's readouts
-            # are the golden readouts -- report them without restoring or
-            # executing anything.  Gated on ``model.transient``: a
-            # persistent stuck-at/SEFI fault keeps re-asserting, so a
-            # "dead at strike time" word is not dead for the rest of the
-            # run and must never be statically pre-classified (lint rule
-            # FT701 enforces this gate on every ACE-map consumer).
-            if (config.early_exit and config.static_grading
-                    and model.transient and warm.ace is not None
-                    and warm.timeline is not None and not warm.failed
-                    and self.recovery_policy is None):
-                result = self._static_grade(warm, model, started)
-                if result is not None:
-                    return result
-            system = self.build_system()
-            if start is not None:
-                # Batched strike scheduling: resume from the golden state
-                # at the checkpoint instead of replaying the strike-free
-                # stretch from the warm snapshot.  Legal only while no
-                # strike has landed yet -- the executor's batch planner
-                # guarantees start.instruction <= the first upset.
-                system.restore(Snapshot.from_bytes(start.snapshot))
-                state = {"executed": start.instruction,
-                         "since_flush": start.since_flush,
-                         "failed": warm.failed}
-            else:
-                system.restore(Snapshot.from_bytes(warm.snapshot))
-                state = {"executed": warm.executed,
-                         "since_flush": warm.since_flush,
-                         "failed": warm.failed}
-            spin, result_base = warm.spin_pc, warm.result_base
-            golden = warm.golden
-            if (warm.ace is not None and warm.ace.loop_heads
-                    and system.jit is not None):
-                # Statically-recovered loop headers are the JIT's candidate
-                # superblock entries: prime them so the first visit
-                # compiles (restore() just invalidated the block cache).
-                system.jit.prime(warm.ace.loop_heads)
-            if traced:
-                telemetry.note("span", phase="setup",
-                               wall_s=time.perf_counter() - started,
-                               instr=state["executed"])
-                self._note_ace(warm)
-        else:
-            system, spin, result_base, _program = self._build_program()
-            state = {"executed": 0, "since_flush": 0, "failed": False}
-            golden = None
-            if traced:
-                telemetry.note("span", phase="setup",
-                               wall_s=time.perf_counter() - started,
-                               instr=0)
-            prefix_started = time.perf_counter()
-            self._run_until(system, spin, state, prefix)
-            if traced:
-                telemetry.note("span", phase="golden-prefix",
-                               wall_s=time.perf_counter() - prefix_started,
-                               instr=state["executed"])
+            result = self._static_grade(warm, model, started)
+            if result is not None:
+                return result
 
+        ctx = self._setup(warm, start, started)
         # The golden-digest argument ("state match => identical future")
         # only holds for one-shot corruption: a persistent fault keeps
         # re-asserting past any matching boundary, so grading degrades to
@@ -575,72 +566,9 @@ class Campaign:
         timeline = warm.timeline \
             if (warm is not None and config.early_exit
                 and model.transient) else None
-
-        harvested = {"sw_errors": 0, "error_traps": 0, "iterations": 0,
-                     "base_sw_errors": 0, "base_iterations": 0}
-        recovery = self._make_recovery(system, result_base, warm, harvested)
-
-        injector = FaultInjector(system)
-        strikes = model.schedule(injector)
-        self._reassert = None if model.transient \
-            else injector.reassert_persistent
-
+        ctx.recovery = self._make_recovery(ctx, warm)
         beam_started = time.perf_counter()
-        upsets_by_target: Dict[str, int] = {}
-        alive = True
-        for strike in strikes:
-            strike_at = prefix + min(
-                int(strike.time_s * config.instructions_per_second), window)
-            if strike_at < state["executed"]:
-                raise ConfigurationError(
-                    "start checkpoint lies past the run's first upset")
-            alive = self._advance(system, spin, state, strike_at,
-                                  recovery, harvested, result_base)
-            if not alive:
-                break
-            if traced:
-                telemetry.strike(
-                    strike.target, strike.flat_bit,
-                    word=model.locate(strike, injector),
-                    time_s=strike.time_s, let=config.let, mbu=strike.mbu,
-                    instr=state["executed"], kind=strike.kind)
-            model.apply(strike, injector)
-            upsets_by_target[strike.target] = \
-                upsets_by_target.get(strike.target, 0) + 1
-            if strike.mbu:
-                upsets_by_target[strike.target + "+mbu"] = \
-                    upsets_by_target.get(strike.target + "+mbu", 0) + 1
-
-        upsets = sum(
-            count for name, count in upsets_by_target.items()
-            if not name.endswith("+mbu")
-        )
-        def final_counts() -> Dict[str, int]:
-            # EDAC corrections on external memory are monitor-visible but
-            # sit outside the Table-2 counters.  Model campaigns fold them
-            # in (key "EDAC") so the security readout counts an
-            # EDAC-caught attack as *detected*; default-seu counts stay
-            # byte-identical to every stored row.
-            counts = dict(system.errors.as_dict())
-            if config.fault_model != "seu" and system.errors.edac_corrected:
-                counts["EDAC"] = system.errors.edac_corrected
-            return counts
-
-        def counts_and_more() -> Dict:
-            # Evaluated at return time so recoveries during the window
-            # close and tail advances are included.
-            return dict(
-                config=config,
-                upsets=upsets,
-                upsets_by_target=upsets_by_target,
-                recoveries=recovery.counts_by_level if recovery else {},
-                recovery_downtime=recovery.downtime_by_level if recovery
-                else {},
-                halts=sum(1 for e in recovery.events
-                          if e.kind in ("halt", "watchdog"))
-                if recovery else 0,
-                unrecovered=recovery.gave_up if recovery else False,
-            )
+        alive = self._strike_window(ctx, model)
 
         # Early-exit grading: once every scheduled strike has been applied
         # the run is strike-free, so an architectural-digest match at any
@@ -654,154 +582,129 @@ class Campaign:
         # harvested tallies the golden run does not carry.
         graded: Optional[GoldenCheckpoint] = None
         diverged: Optional[DivergenceFix] = None
-        if (alive and timeline is not None and timeline.checkpoints
-                and (recovery is None or not recovery.events)):
-            graded, diverged = self._grade(system, spin, state, timeline,
-                                           recovery, harvested, result_base)
-            alive = not state["failed"]
+        if alive and timeline is not None and not ctx.recovered:
+            graded, diverged = self._grade(ctx, timeline)
+            alive = not ctx.state["failed"]
         elif alive:
-            alive = self._advance(system, spin, state, window_close,
-                                  recovery, harvested, result_base)
+            alive = self._advance(ctx, prefix + window)
         if traced:
             telemetry.note("span", phase="beam",
                            wall_s=time.perf_counter() - beam_started,
-                           instr=state["executed"])
+                           instr=ctx.state["executed"])
 
-        if graded is not None and timeline is not None:
-            final = timeline.final
-            result = CampaignResult(
-                counts=final_counts(),
-                sw_errors=final.sw_errors,
-                error_traps=final.error_traps,
-                halted=final.halted,
-                iterations=final.iterations,
-                instructions=final.executed,
-                wall_seconds=time.perf_counter() - started,
-                effaced=True,
-                exit_reason="reconverged",
-                graded_at_instruction=graded.instruction,
-                cycles=system.perf.cycles + timeline.tail_cycles_from(graded),
-                **counts_and_more(),
-            )
-            if traced:
-                telemetry.note("early-exit", reason="reconverged",
-                               at=graded.instruction,
-                               skipped=final.executed - graded.instruction)
-                self._finish_trace(injector, result, instr=final.executed)
-            return result
+        if graded is not None:
+            return self._readout(ctx, "reconverged", timeline, graded,
+                                 graded_at=graded.instruction)
 
         # Permanent-divergence exit: the faulted digest repeated across
         # two consecutive mismatching boundaries, so the run is parked in
         # a fixed point and will never reconverge.  Full periods are
         # architectural no-ops; executing the sub-period remainder lands
-        # on the exact end-of-run state, and the skipped periods' cycle
-        # and counter costs are added back arithmetically -- the readouts
-        # are byte-identical to draining the tail.
-        if (diverged is not None and alive
-                and (recovery is None or not recovery.events)):
-            periods, advance = divergence_exit(diverged, total_instructions)
-            alive = self._advance(system, spin, state,
-                                  diverged.boundary + advance,
-                                  recovery, harvested, result_base)
-            if alive and (recovery is None or not recovery.events):
-                read = system.read_word
-                sw_errors = harvested["sw_errors"] + \
-                    read(result_base + 0x14) - harvested["base_sw_errors"]
-                trapped = read(result_base + 0x08) == 1
-                iterations = harvested["iterations"] + \
-                    read(result_base + 0x10) - harvested["base_iterations"]
-                counts = final_counts()
-                for name, delta in diverged.counts_per_period.items():
-                    if delta:
-                        counts[name] = counts.get(name, 0) + periods * delta
-                result = CampaignResult(
-                    counts=counts,
-                    sw_errors=sw_errors,
-                    error_traps=harvested["error_traps"] + int(trapped),
-                    halted=system.iu.halted is not HaltReason.RUNNING,
-                    iterations=iterations,
-                    instructions=total_instructions,
-                    wall_seconds=time.perf_counter() - started,
-                    exit_reason="diverged",
-                    graded_at_instruction=diverged.boundary,
-                    cycles=system.perf.cycles
-                    + periods * diverged.cycles_per_period,
-                    **counts_and_more(),
-                )
-                if traced:
-                    telemetry.note("early-exit", reason="diverged",
-                                   at=diverged.boundary,
-                                   skipped=total_instructions
-                                   - state["executed"])
-                    self._finish_trace(injector, result,
-                                       instr=total_instructions)
-                return result
-
-        # Legacy window-close effaced check, for warm starts prepared
-        # without a timeline (the golden run parked mid-tail) or with
-        # early exit disabled but a golden readout available.  Gated on
-        # the model like the timeline: a persistent fault re-asserts past
-        # the matching digest, so the golden tail readouts do not apply.
-        if (config.early_exit and timeline is None and model.transient
-                and golden is not None and alive and not state["failed"]
-                and (recovery is None or not recovery.events)
-                and state["executed"] == window_close
-                and system.state_digest() == golden.window_digest):
-            result = CampaignResult(
-                counts=final_counts(),
-                sw_errors=golden.sw_errors,
-                error_traps=golden.error_traps,
-                halted=golden.halted,
-                iterations=golden.iterations,
-                instructions=golden.executed,
-                wall_seconds=time.perf_counter() - started,
-                effaced=True,
-                exit_reason="reconverged",
-                graded_at_instruction=window_close,
-                cycles=system.perf.cycles + golden.tail_cycles,
-                **counts_and_more(),
-            )
-            if traced:
-                telemetry.note("early-exit", reason="reconverged",
-                               at=window_close,
-                               skipped=golden.executed - window_close)
-                self._finish_trace(injector, result, instr=golden.executed)
-            return result
+        # on the exact end-of-run state, and the readout adds the skipped
+        # periods' cycle and counter costs back arithmetically -- the
+        # readouts are byte-identical to draining the tail.
+        if diverged is not None and alive and not ctx.recovered:
+            _periods, advance = divergence_exit(diverged, total_instructions)
+            alive = self._advance(ctx, diverged.boundary + advance)
+            if alive and not ctx.recovered:
+                return self._readout(ctx, "diverged", None, diverged,
+                                     graded_at=diverged.boundary)
 
         drain_started = time.perf_counter()
         if alive:
-            self._advance(system, spin, state, total_instructions,
-                          recovery, harvested, result_base)
-        executed = state["executed"]
+            self._advance(ctx, total_instructions)
         if traced:
             telemetry.note("span", phase="drain",
                            wall_s=time.perf_counter() - drain_started,
-                           instr=executed)
+                           instr=ctx.state["executed"])
+        return self._readout(ctx, "full")
 
-        # Read out the result area the way the host computer would; the
-        # harvested tallies carry what earlier reset recoveries banked.
-        read = system.read_word
-        sw_errors = harvested["sw_errors"] + \
-            read(result_base + 0x14) - harvested["base_sw_errors"]
-        trapped = read(result_base + 0x08) == 1
-        iterations = harvested["iterations"] + \
-            read(result_base + 0x10) - harvested["base_iterations"]
+    def _setup(self, warm: Optional[WarmStart],
+               start: Optional[GoldenCheckpoint],
+               started: float) -> _RunContext:
+        """Bring a device to the run's first strike-eligible instruction.
 
-        result = CampaignResult(
-            counts=final_counts(),
-            sw_errors=sw_errors,
-            error_traps=harvested["error_traps"] + int(trapped),
-            halted=system.iu.halted is not HaltReason.RUNNING,
-            iterations=iterations,
-            instructions=executed,
-            wall_seconds=time.perf_counter() - started,
-            exit_reason="full",
-            cycles=system.perf.cycles,
-            **counts_and_more(),
-        )
+        A warm run restores the warm snapshot -- or, batched, the golden
+        state at ``start`` -- instead of executing anything; a cold run
+        boots the program and executes the fault-free prefix.
+        """
+        telemetry = self.telemetry
+        traced = telemetry.enabled
+        if warm is None:
+            system, spin, result_base, _program = self._build_program()
+            ctx = _RunContext(started, system, spin, result_base,
+                              {"executed": 0, "since_flush": 0,
+                               "failed": False})
+            if traced:
+                telemetry.note("span", phase="setup",
+                               wall_s=time.perf_counter() - started,
+                               instr=0)
+            prefix_started = time.perf_counter()
+            prefix, _window, _tail = self.config.phase_instructions()
+            self._run_until(system, spin, ctx.state, prefix)
+            if traced:
+                telemetry.note("span", phase="golden-prefix",
+                               wall_s=time.perf_counter() - prefix_started,
+                               instr=ctx.state["executed"])
+            return ctx
+
+        system = self.build_system()
+        if start is not None:
+            # Batched strike scheduling: resume from the golden state
+            # at the checkpoint instead of replaying the strike-free
+            # stretch from the warm snapshot.  Legal only while no
+            # strike has landed yet -- the executor's batch planner
+            # guarantees start.instruction <= the first upset.
+            snapshot, executed = start.snapshot, start.instruction
+            since_flush = start.since_flush
+        else:
+            snapshot, executed = warm.snapshot, warm.executed
+            since_flush = warm.since_flush
+        system.restore(Snapshot.from_bytes(snapshot))
+        state = {"executed": executed, "since_flush": since_flush,
+                 "failed": warm.failed}
+        ace = warm.ace  # lint: ok=ace-transient-gate -- JIT hint only; no grading decision
+        if ace is not None and ace.loop_heads and system.jit is not None:
+            # Statically-recovered loop headers are the JIT's candidate
+            # superblock entries: prime them so the first visit
+            # compiles (restore() just invalidated the block cache).
+            system.jit.prime(ace.loop_heads)
         if traced:
-            self._finish_trace(injector, result, instr=executed)
-        return result
+            telemetry.note("span", phase="setup",
+                           wall_s=time.perf_counter() - started,
+                           instr=state["executed"])
+            self._note_ace(warm)
+        return _RunContext(started, system, warm.spin_pc, warm.result_base,
+                           state)
+
+    def _strike_window(self, ctx: _RunContext, model) -> bool:
+        """Schedule the model's strikes and apply each at its instruction.
+
+        Returns whether the run is still alive once the last strike has
+        landed (False: it failed and no recovery brought it back).
+        """
+        config = self.config
+        telemetry = self.telemetry
+        injector = ctx.injector = FaultInjector(ctx.system)
+        strikes = model.schedule(injector)
+        self._reassert = None if model.transient \
+            else injector.reassert_persistent
+        for strike in strikes:
+            strike_at = self._strike_at(strike)
+            if strike_at < ctx.state["executed"]:
+                raise ConfigurationError(
+                    "start checkpoint lies past the run's first upset")
+            if not self._advance(ctx, strike_at):
+                return False
+            if telemetry.enabled:
+                telemetry.strike(
+                    strike.target, strike.flat_bit,
+                    word=model.locate(strike, injector),
+                    time_s=strike.time_s, let=config.let, mbu=strike.mbu,
+                    instr=ctx.state["executed"], kind=strike.kind)
+            model.apply(strike, injector)
+            ctx.count_upset(strike)
+        return True
 
     def _note_ace(self, warm: WarmStart) -> None:
         """Record the warm start's ACE-map summary in the trace.
@@ -829,16 +732,19 @@ class Campaign:
                       started: float) -> Optional[CampaignResult]:
         """Grade the run statically, without executing it, if possible.
 
-        Called before the snapshot restore with a *transient* model (the
-        caller gates on ``model.transient``; persistent faults re-assert
-        and are never pre-classified).  Schedules the run's strikes on a
-        throwaway same-geometry system -- schedules are a pure function of
-        the beam parameters and the device geometry, so they are identical
-        to the ones the executed run would draw -- and consults the ACE
-        map for every strike site.  Returns None (execute normally) unless
-        *every* strike is provably dead; with lifecycle tracing enabled,
-        write-only ("ambiguous") sites also fall back to execution so the
-        traced close states stay byte-identical to the oracle's.
+        Static pre-classification: when every scheduled strike lands in a
+        register word the ACE map proved dead, the faulted trajectory *is*
+        the golden trajectory and the run's readouts are the golden
+        readouts -- report them without restoring or executing anything.
+        Called before the snapshot restore.  Schedules the run's strikes
+        on a throwaway same-geometry system -- schedules are a pure
+        function of the beam parameters and the device geometry, so they
+        are identical to the ones the executed run would draw -- and
+        consults the ACE map for every strike site.  Returns None (execute
+        normally) unless *every* strike is provably dead; with lifecycle
+        tracing enabled, write-only ("ambiguous") sites also fall back to
+        execution so the traced close states stay byte-identical to the
+        oracle's.
 
         A successful static grade reports the golden readouts verbatim:
         the faulted trajectory equals the golden one instruction for
@@ -846,89 +752,47 @@ class Campaign:
         writes -- and every struck word stays resident (suspect), which is
         exactly the ``latent`` close state the full run would log.
         """
-        if not model.transient:
-            # Defense in depth: the caller gates on this already, but the
-            # static claims are unsound for re-asserting faults -- never
-            # pre-classify them (lint rule FT701).
-            return None
         config = self.config
-        ace = warm.ace
-        timeline = warm.timeline
-        golden = timeline.final
-        if golden.counts is None:  # pre-static warm start
+        # Gated on ``model.transient``: a persistent stuck-at/SEFI fault
+        # keeps re-asserting, so a "dead at strike time" word is not dead
+        # for the rest of the run and must never be statically
+        # pre-classified (lint rule FT701 enforces this gate on every
+        # ACE-map consumer).  An ACE map implies a timeline: both need a
+        # golden run that passed the window close trap-free.
+        if not (config.early_exit and config.static_grading
+                and model.transient and warm.ace is not None
+                and self.recovery_policy is None):
             return None
-        traced = self.telemetry.enabled
+        telemetry = self.telemetry
         probe = self.build_system()
         injector = FaultInjector(probe)
         strikes = model.schedule(injector)
-        located = []
         for strike in strikes:
-            word = model.locate(strike, injector)
-            claim = ace.classify(strike.target, word)
-            if claim is None or (traced and claim != "latent"):
+            claim = warm.ace.classify(strike.target,
+                                      model.locate(strike, injector))
+            if claim is None or (telemetry.enabled and claim != "latent"):
                 return None
-            located.append(strike)
 
-        prefix, window, _tail = config.phase_instructions()
-        upsets_by_target: Dict[str, int] = {}
-        for strike in located:
-            upsets_by_target[strike.target] = \
-                upsets_by_target.get(strike.target, 0) + 1
-            if strike.mbu:
-                upsets_by_target[strike.target + "+mbu"] = \
-                    upsets_by_target.get(strike.target + "+mbu", 0) + 1
-        result = CampaignResult(
-            config=config,
-            counts=dict(golden.counts),
-            upsets=sum(count for name, count in upsets_by_target.items()
-                       if not name.endswith("+mbu")),
-            upsets_by_target=upsets_by_target,
-            sw_errors=golden.sw_errors,
-            error_traps=golden.error_traps,
-            halted=golden.halted,
-            iterations=golden.iterations,
-            instructions=golden.executed,
-            wall_seconds=time.perf_counter() - started,
-            effaced=True,
-            cycles=timeline.end_cycles,
-            exit_reason="static_masked",
-            graded_at_instruction=warm.executed,
-        )
-        if traced:
-            telemetry = self.telemetry
+        # Nothing executes: the run stays at the warm-start entry, and the
+        # readout has no machine to read (every struck word closes latent).
+        ctx = _RunContext(started, None, state={"executed": warm.executed})
+        for strike in strikes:
+            ctx.count_upset(strike)
+        if telemetry.enabled:
             telemetry.note("span", phase="setup",
                            wall_s=time.perf_counter() - started,
                            instr=warm.executed)
             self._note_ace(warm)
-            for strike in located:
-                strike_at = prefix + min(
-                    int(strike.time_s * config.instructions_per_second),
-                    window)
+            for strike in strikes:
                 telemetry.strike(
                     strike.target, strike.flat_bit,
                     word=model.locate(strike, injector),
                     time_s=strike.time_s, let=config.let, mbu=strike.mbu,
-                    instr=strike_at, kind=strike.kind)
-            telemetry.note("early-exit", reason="static-masked",
-                           at=warm.executed,
-                           skipped=golden.executed - warm.executed)
-            telemetry.close_open(lambda target, word: "latent",
-                                 instr=golden.executed)
-            telemetry.note("run-end", counts=dict(result.counts),
-                           upsets=result.upsets, sw_errors=result.sw_errors,
-                           error_traps=result.error_traps,
-                           halted=result.halted,
-                           iterations=result.iterations,
-                           instructions=result.instructions,
-                           effaced=result.effaced,
-                           wall_s=round(result.wall_seconds, 6))
-        return result
+                    instr=self._strike_at(strike), kind=strike.kind)
+        return self._readout(ctx, "static_masked", warm.timeline,
+                             graded_at=warm.executed)
 
-    def _grade(self, system: LeonSystem, spin: int, state: Dict,
-               timeline: GoldenTimeline,
-               recovery: Optional[RecoveryController],
-               harvested: Dict[str, int],
-               result_base: int
+    def _grade(self, ctx: _RunContext, timeline: GoldenTimeline
                ) -> "tuple[Optional[GoldenCheckpoint], " \
                     "Optional[DivergenceFix]]":
         """Walk the golden checkpoint boundaries grading the run.
@@ -944,15 +808,15 @@ class Campaign:
         (recovered runs carry harvested tallies the golden readouts do
         not).
         """
+        system, state = ctx.system, ctx.state
         flush_period = self.config.flush_period_instructions
         previous = None  # (digest, flush phase, instruction, cycles, counts)
         for checkpoint in timeline.checkpoints:
             if checkpoint.instruction < state["executed"]:
                 continue
-            if not self._advance(system, spin, state, checkpoint.instruction,
-                                 recovery, harvested, result_base):
+            if not self._advance(ctx, checkpoint.instruction):
                 return None, None
-            if recovery is not None and recovery.events:
+            if ctx.recovered:
                 return None, None
             digest = system.state_digest()
             if digest == checkpoint.digest:
@@ -979,26 +843,109 @@ class Campaign:
             previous = (digest, phase, checkpoint.instruction, cycles, counts)
         return None, None
 
-    def _finish_trace(self, injector: FaultInjector,
-                      result: CampaignResult, *, instr: int) -> None:
+    def _readout(self, ctx: _RunContext, exit_reason: str,
+                 source: Optional[GoldenTimeline] = None,
+                 extrapolation=None, *,
+                 graded_at: Optional[int] = None) -> CampaignResult:
+        """What the host computer logs at the end of a run.
+
+        The one place a :class:`CampaignResult` is built, for every exit
+        of the grading ladder.  ``source`` says where the result area is
+        read: the golden timeline's end readouts (the run provably ends on
+        the golden trajectory) or, when None, the machine itself plus the
+        tallies earlier reset recoveries banked.  ``extrapolation`` adds
+        what was not executed: nothing (None), the golden tail from a
+        matched :class:`GoldenCheckpoint`, or the whole fixed-point
+        periods of a :class:`DivergenceFix` through the run end.  A
+        statically graded run has no machine: its counters and cycles are
+        the golden end-of-run ones.
+        """
+        config = self.config
+        system, recovery = ctx.system, ctx.recovery
+        if system is None:
+            counts, cycles = dict(source.counts), source.end_cycles
+        else:
+            counts, cycles = dict(system.errors.as_dict()), system.perf.cycles
+            # EDAC corrections on external memory are monitor-visible but
+            # sit outside the Table-2 counters.  Model campaigns fold them
+            # in (key "EDAC") so the security readout counts an
+            # EDAC-caught attack as *detected*; default-seu counts stay
+            # byte-identical to every stored row.
+            if config.fault_model != "seu" and system.errors.edac_corrected:
+                counts["EDAC"] = system.errors.edac_corrected
+        if source is not None:
+            readouts = dict(sw_errors=source.sw_errors,
+                            error_traps=source.error_traps,
+                            halted=source.halted,
+                            iterations=source.iterations,
+                            instructions=source.end)
+        else:
+            # Read out the result area the way the host computer would:
+            # one last harvest adds it to what earlier resets banked.
+            ctx.harvest(system)
+            banked = ctx.harvested
+            readouts = dict(sw_errors=banked["sw_errors"],
+                            error_traps=banked["error_traps"],
+                            halted=system.iu.halted is not HaltReason.RUNNING,
+                            iterations=banked["iterations"],
+                            instructions=ctx.state["executed"])
+        if isinstance(extrapolation, GoldenCheckpoint):
+            cycles += source.tail_cycles_from(extrapolation)
+        elif isinstance(extrapolation, DivergenceFix):
+            end = sum(config.phase_instructions())
+            periods, _advance = divergence_exit(extrapolation, end)
+            cycles += periods * extrapolation.cycles_per_period
+            for name, delta in extrapolation.counts_per_period.items():
+                if delta:
+                    counts[name] = counts.get(name, 0) + periods * delta
+            readouts["instructions"] = end
+
+        result = CampaignResult(
+            config=config,
+            counts=counts,
+            upsets=sum(count for name, count in ctx.upsets_by_target.items()
+                       if not name.endswith("+mbu")),
+            upsets_by_target=ctx.upsets_by_target,
+            wall_seconds=time.perf_counter() - ctx.started,
+            cycles=cycles,
+            recoveries=recovery.counts_by_level if recovery else {},
+            recovery_downtime=recovery.downtime_by_level if recovery else {},
+            halts=sum(1 for e in recovery.events
+                      if e.kind in ("halt", "watchdog")) if recovery else 0,
+            unrecovered=recovery.gave_up if recovery else False,
+            exit_reason=exit_reason,
+            graded_at_instruction=graded_at,
+            **readouts,
+        )
+        telemetry = self.telemetry
+        if telemetry.enabled:
+            if exit_reason != "full":
+                telemetry.note(
+                    "early-exit", reason=exit_reason.replace("_", "-"),
+                    at=graded_at,
+                    skipped=result.instructions - ctx.state["executed"])
+            # Nothing executed after a static grade, so every struck word
+            # is still resident; model-specific sites outside the SEU
+            # registry (SEFI control cells, attack words) stay resident
+            # until software or a reset repairs them.  Both close latent.
+            injector = ctx.injector
+            self._finish_trace(result, lambda target, word: "latent" if (
+                injector is None or target not in injector.targets
+                or injector.is_latent(target, word)) else "masked")
+        return result
+
+    def _finish_trace(self, result: CampaignResult, close) -> None:
         """Close every still-open upset and emit the run-end readouts.
 
-        The close events give each undetected strike its terminal state
-        (latent if the corruption is still resident, masked if it was
-        overwritten unobserved) -- together with the resolve events this
-        guarantees every strike's lifecycle terminates.
+        ``close(target, word)`` names each undetected strike's terminal
+        state (latent if the corruption is still resident, masked if it
+        was overwritten unobserved) -- together with the resolve events
+        this guarantees every strike's lifecycle terminates.
         """
         telemetry = self.telemetry
         if not telemetry.enabled:
             return
-        telemetry.close_open(
-            lambda target, word:
-            # Model-specific sites outside the SEU registry (SEFI control
-            # cells, attack words) stay resident until software or a reset
-            # repairs them -- close as latent.
-            "latent" if (target not in injector.targets
-                         or injector.is_latent(target, word)) else "masked",
-            instr=instr)
+        telemetry.close_open(close, instr=result.instructions)
         telemetry.note("run-end", counts=dict(result.counts),
                        upsets=result.upsets, sw_errors=result.sw_errors,
                        error_traps=result.error_traps,
@@ -1036,52 +983,40 @@ def prepare_warm_start(config: CampaignConfig, *,
     executed, since_flush = state["executed"], state["since_flush"]
     failed = state["failed"]
 
-    golden: Optional[GoldenRun] = None
     timeline: Optional[GoldenTimeline] = None
     marks = []
-    window_digest: Optional[str] = None
-    window_cycles = 0
-    clean = not failed
+    reached_close = False
     for boundary in checkpoint_schedule(prefix, window, tail,
                                         count=checkpoints):
         campaign._run_until(system, spin, state, boundary)
         if state["failed"] or state["executed"] != boundary:
-            # Parked mid-stretch.  Before the window close that kills the
-            # golden run (no digest to compare against); in the tail the
-            # timeline simply ends early -- a run matching any recorded
-            # boundary has the identical (parked) future.
-            clean = window_digest is not None
+            # Parked mid-stretch.  At or before the window close that
+            # kills the golden run (no digest to compare against, so no
+            # timeline); in the tail the timeline simply ends early -- a
+            # run matching any recorded boundary has the identical
+            # (parked) future.
             break
-        digest = system.state_digest()
         marks.append(GoldenCheckpoint(
             instruction=boundary,
-            digest=digest,
+            digest=system.state_digest(),
             cycles=system.perf.cycles,
             since_flush=state["since_flush"],
             snapshot=(system.snapshot().to_bytes()
                       if boundary <= window_close else None),
         ))
-        if boundary == window_close:
-            window_digest = digest
-            window_cycles = system.perf.cycles
-    if clean and window_digest is not None:
+        reached_close = reached_close or boundary == window_close
+    if reached_close:
         read = system.read_word
-        golden = GoldenRun(
-            window_digest=window_digest,
-            sw_errors=read(result_base + 0x14),
-            error_traps=int(read(result_base + 0x08) == 1),
-            iterations=read(result_base + 0x10),
-            halted=system.iu.halted is not HaltReason.RUNNING,
-            executed=state["executed"],
-            tail_cycles=system.perf.cycles - window_cycles,
-            counts=dict(system.errors.as_dict()),
-        )
         timeline = GoldenTimeline(
             window_close=window_close,
             end=state["executed"],
             end_cycles=system.perf.cycles,
             checkpoints=tuple(marks),
-            final=golden,
+            sw_errors=read(result_base + 0x14),
+            error_traps=int(read(result_base + 0x08) == 1),
+            iterations=read(result_base + 0x10),
+            halted=system.iu.halted is not HaltReason.RUNNING,
+            counts=dict(system.errors.as_dict()),
         )
 
     # Static ACE map, computed once per warm start and shipped to every
@@ -1104,7 +1039,6 @@ def prepare_warm_start(config: CampaignConfig, *,
         failed=failed,
         spin_pc=spin,
         result_base=result_base,
-        golden=golden,
         timeline=timeline,
         ace=ace,
     )

@@ -10,9 +10,11 @@ campaign wall-clock on tails whose outcome is already decided.
 This module holds the data model of the grading layer:
 
 * :class:`GoldenTimeline` -- periodic architectural-digest checkpoints of
-  the golden run, computed once per campaign configuration by
+  the golden run plus its end-of-run readouts, computed once per
+  campaign configuration by
   :func:`repro.fault.campaign.prepare_warm_start` and shipped to every
-  run inside the :class:`~repro.fault.campaign.WarmStart`.  A faulted run
+  run inside the :class:`~repro.fault.campaign.WarmStart` (None when the
+  golden run parks at or before the window close).  A faulted run
   that reaches a checkpoint boundary with a matching digest has provably
   reconverged: its remaining execution -- every instruction, counter
   freeze, and result-area write -- is the golden run's, so it terminates
@@ -33,6 +35,11 @@ This module holds the data model of the grading layer:
   per-period cycle/counter deltas (``exit_reason="diverged"``).  Latent
   runs -- strikes parked in state the program never reads again -- stop
   costing their whole tail.
+
+Every grading outcome -- statically masked, reconverged, diverged, or
+executed in full -- is read out by one function,
+``Campaign._readout``, which takes the result area from the timeline or
+the machine and extrapolates the unexecuted tail as the exit requires.
 
 Digests are architectural (:meth:`repro.state.snapshot.Snapshot.digest`):
 diag/counter state is excluded, because the error monitor remembers that
@@ -56,32 +63,6 @@ MIN_CHECKPOINT_INTERVAL = 2_000
 
 
 @dataclass(frozen=True)
-class GoldenRun:
-    """End-state of the strike-free run, for effaced classification.
-
-    ``window_digest`` is the architectural digest at the beam-window close;
-    the readouts are what the host would log at the end of the full run.
-    """
-
-    window_digest: str
-    sw_errors: int
-    error_traps: int
-    iterations: int
-    halted: bool
-    executed: int
-    #: Device cycles the strike-free tail costs from the window close --
-    #: a pure function of the (matching) architectural state, so effaced
-    #: runs can report exact end-of-run cycle counts without executing it.
-    tail_cycles: int = 0
-    #: Golden end-of-run error-monitor counters
-    #: (:meth:`~repro.core.system.LeonSystem` ``errors.as_dict()``).  A
-    #: statically-masked run reports these verbatim: a provably-dead strike
-    #: never reaches an operand check, so the monitor counts exactly what
-    #: the strike-free run counts.  None in pre-static warm starts.
-    counts: Optional[Dict[str, int]] = None
-
-
-@dataclass(frozen=True)
 class GoldenCheckpoint:
     """One golden boundary: where it is, what the state hashes to, and
     what reaching it cost the golden run."""
@@ -102,7 +83,12 @@ class GoldenCheckpoint:
 
 @dataclass(frozen=True)
 class GoldenTimeline:
-    """The golden run, reduced to periodic digests plus its end readouts."""
+    """The golden run, reduced to periodic digests plus its end readouts.
+
+    Built only when the golden run reaches the window close: a golden run
+    that parks at or before it has no timeline, so every consumer that
+    holds one can rely on the window-close checkpoint being present.
+    """
 
     #: Instruction count at which the beam window closes.
     window_close: int
@@ -113,8 +99,17 @@ class GoldenTimeline:
     end_cycles: int
     #: Digest boundaries, ascending; always includes the window close.
     checkpoints: Tuple[GoldenCheckpoint, ...]
-    #: Golden end-of-run readouts, reported verbatim by reconverged runs.
-    final: GoldenRun
+    #: Golden end-of-run readouts of the self-check result area, reported
+    #: verbatim by reconverged and statically-masked runs.
+    sw_errors: int
+    error_traps: int
+    iterations: int
+    halted: bool
+    #: Golden end-of-run error-monitor counters (``errors.as_dict()``).  A
+    #: statically-masked run reports these verbatim: a provably-dead strike
+    #: never reaches an operand check, so the monitor counts exactly what
+    #: the strike-free run counts.
+    counts: Dict[str, int]
 
     def anchors(self) -> Tuple[GoldenCheckpoint, ...]:
         """The checkpoints carrying restore snapshots (batch anchors)."""

@@ -6,6 +6,7 @@ import pickle
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.fault import campaign as campaign_module
 from repro.fault.campaign import (
     Campaign,
     CampaignConfig,
@@ -24,6 +25,7 @@ from repro.fault.grading import (
     first_strike_instructions,
 )
 from repro.fault.results import ResultStore
+from repro.programs.builder import build_test_program
 
 #: Mid-size settings (10k prefix, 25k window close, 27k end): enough span
 #: for a ten-boundary timeline with eight in-window batch anchors, and a
@@ -98,9 +100,60 @@ def test_timeline_matches_schedule_and_anchors(warm_mid):
             (cp.instruction <= timeline.window_close)
     anchors = timeline.anchors()
     assert anchors[-1].instruction == timeline.window_close
-    assert timeline.final == warm_mid.golden
     assert timeline.tail_cycles_from(anchors[-1]) == \
-        warm_mid.golden.tail_cycles
+        timeline.end_cycles - anchors[-1].cycles
+    # The timeline's end readouts are the strike-free run's: below the
+    # SEU threshold nothing lands, so a cold run executes the golden run.
+    golden = Campaign(_mid(let=3.0)).run()
+    assert golden.upsets == 0
+    assert (timeline.end, timeline.end_cycles) == \
+        (golden.instructions, golden.cycles)
+    assert (timeline.sw_errors, timeline.error_traps, timeline.iterations,
+            timeline.halted, timeline.counts) == \
+        (golden.sw_errors, golden.error_traps, golden.iterations,
+         golden.halted, golden.counts)
+
+
+def _build_trapper(config, *, iterations, spins):
+    """A program that counts down ``spins`` times, then takes an
+    unexpected trap and parks on ``_trap_spin`` (about 3 instructions per
+    spin)."""
+    body = f"""
+main:
+    set {spins}, %o0
+count_down:
+    subcc %o0, 1, %o0
+    bne count_down
+    nop
+    ta 1
+    nop
+"""
+    return build_test_program(body, config, name="trapper"), 0
+
+
+@pytest.mark.parametrize("spins, parks", [
+    (50, "prefix"), (250, "window"), (500, "tail")])
+def test_timeline_absent_exactly_when_golden_parks_by_window_close(
+        monkeypatch, spins, parks):
+    """No timeline (and no ACE map) when the golden run parks at or before
+    the window close: such a warm start grades nothing and runs full."""
+    monkeypatch.setitem(campaign_module._BUILDERS, "trapper", _build_trapper)
+    config = dataclasses.replace(_tiny(), program="trapper",
+                                 program_kwargs={"spins": spins})
+    prefix, window, _tail = config.phase_instructions()
+    warm = prepare_warm_start(config)
+    assert warm.failed == (parks == "prefix")
+    assert (warm.timeline is None) == (parks != "tail")
+    if warm.timeline is None:
+        assert warm.ace is None
+    else:
+        # Parked in the tail: the timeline ends early, past the close.
+        assert prefix + window < warm.timeline.end < sum(
+            config.phase_instructions())
+    result = Campaign(config).run(warm=warm)
+    if parks != "tail":
+        assert result.exit_reason == "full"
+    assert result.comparable() == Campaign(config).run().comparable()
 
 
 def test_timeline_byte_identical_across_preparations(warm_mid):

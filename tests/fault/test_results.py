@@ -166,10 +166,22 @@ def test_pre_grading_rows_load_with_defaults(tmp_path):
     result = loaded[config_key(_config(seed=1))]
     assert result.exit_reason == ""
     assert result.graded_at_instruction is None
+    assert not result.effaced
     # A resumed campaign appends new-format rows to the same store.
     with ResultStore(path) as store:
         store.append([_result(seed=2)])
     assert len(ResultStore(path).load()) == 2
+    # A pre-grading row flagged effaced was the window-close
+    # reconvergence exit; effaced is now derived from exit_reason.
+    row["effaced"] = True
+    row["config"]["seed"] = 3
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(row) + "\n")
+    effaced = ResultStore(path).load()[config_key(_config(seed=3))]
+    assert effaced.exit_reason == "reconverged"
+    assert effaced.effaced
+    assert effaced.graded_at_instruction is None
+    assert result_to_dict(effaced)["effaced"] is True
 
 
 # -- resume through the executor -----------------------------------------------
