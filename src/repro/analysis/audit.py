@@ -14,8 +14,9 @@ few thousand instructions, and checks the invariants *live*:
 ``snapshot-roundtrip``
     ``snapshot() -> to_bytes() -> from_bytes() -> restore()`` into a
     fresh system reproduces the state bit-for-bit, serialization is
-    byte-stable, and the restored copy's *future* (architectural digest
-    after further execution) matches the original's.
+    byte-stable, both the architectural and the grading digest of the
+    restored copy match the original's, and so does its *future*
+    (architectural digest after further execution).
 
 ``injector-coverage``
     Every atomic storage object reachable from the system (anything
@@ -134,6 +135,9 @@ def check_snapshot_roundtrip(model: ProjectModel) -> List[str]:
     if clone.state_digest() != system.state_digest():
         failures.append("restored system's architectural digest differs "
                         "from the original's")
+    if clone.grading_digest() != system.grading_digest():
+        failures.append("restored system's grading digest differs from "
+                        "the original's")
 
     system.run(FUTURE_INSTRUCTIONS, stop_pc=spin)
     clone.run(FUTURE_INSTRUCTIONS, stop_pc=clone_spin)

@@ -32,7 +32,8 @@ result-producing path consults ambient nondeterminism.
     grading compares *architectural* digests: observation-only counters
     remember that a strike happened long after the architectural state
     has reconverged, so a digest computed over raw ``capture()`` payloads
-    (without :func:`repro.state.snapshot.strip_diag`) or via
+    (without :func:`repro.state.snapshot.strip_diag` or its shallow form
+    :func:`~repro.state.snapshot.drop_diag`) or via
     ``digest(architectural=False)`` would never match the golden run's
     and silently disable every early exit.
 """
@@ -238,6 +239,10 @@ _HASH_CONSTRUCTORS = {
 }
 
 
+#: Helpers that exclude ``"diag"`` subtrees from a payload before hashing.
+_DIAG_DROPPERS = {"strip_diag", "drop_diag"}
+
+
 @register_rule
 class DigestDiagRule(Rule):
     name = "det-digest-diag"
@@ -273,8 +278,8 @@ class DigestDiagRule(Rule):
 
         The heuristic is function-scoped: a hashlib constructor call in a
         function that also touches snapshot payloads (a ``.capture()``
-        call or a ``components`` name) without ``strip_diag`` or an
-        ``OBSERVATION_COMPONENTS`` exclusion is hashing diag state.
+        call or a ``components`` name) without ``strip_diag``/``drop_diag``
+        or an ``OBSERVATION_COMPONENTS`` exclusion is hashing diag state.
         """
         hash_calls = []
         touches_payload = False
@@ -286,12 +291,10 @@ class DigestDiagRule(Rule):
                 if (root.split(".")[-1] == "hashlib"
                         and leaf in _HASH_CONSTRUCTORS):
                     hash_calls.append(node)
-                if leaf == "capture" or chain == "strip_diag" \
-                        or leaf == "strip_diag":
-                    if leaf == "capture":
-                        touches_payload = True
-                    else:
-                        strips = True
+                if leaf == "capture":
+                    touches_payload = True
+                elif leaf in _DIAG_DROPPERS:
+                    strips = True
             elif isinstance(node, ast.Name):
                 if node.id == "components":
                     touches_payload = True

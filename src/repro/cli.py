@@ -66,7 +66,7 @@ from repro.alternatives.availability import (
     measure_availability,
 )
 from repro.alternatives.schemes import all_schemes
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, StateError
 from repro.area.model import TimingModel, table1
 from repro.core.config import LeonConfig
 from repro.core.system import LeonSystem
@@ -649,7 +649,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_state(args: argparse.Namespace) -> int:
     if args.action == "info":
         with open(args.file, "rb") as handle:
-            snap = Snapshot.from_bytes(handle.read())
+            try:
+                snap = Snapshot.from_bytes(handle.read())
+            except StateError as exc:
+                print(f"error: {args.file}: {exc}", file=sys.stderr)
+                return 1
         print(f"format version: {snap.version}")
         print(f"components: {', '.join(snap.components)}")
         print(f"architectural digest: {snap.digest()}")

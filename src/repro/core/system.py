@@ -8,6 +8,8 @@ interrupt controller, I/O port and the FT error monitor.
 
 from __future__ import annotations
 
+import hashlib
+import pickle
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -41,7 +43,11 @@ from repro.peripherals.sysregs import SystemRegisters
 from repro.peripherals.timer import TimerUnit
 from repro.peripherals.uart import Uart
 from repro.sparc.asm import Program
-from repro.state.snapshot import Snapshot
+from repro.state.snapshot import (
+    PICKLE_PROTOCOL,
+    Snapshot,
+    drop_diag,
+)
 from repro.telemetry.bus import NULL_TELEMETRY, Telemetry
 
 #: Base address of the APB bridge (LEON-2 register map).
@@ -262,8 +268,38 @@ class LeonSystem:
 
         Two systems with equal digests execute identical futures; their
         error/performance counters may differ (see :mod:`repro.state`).
+        This is the canonical content hash, over a full snapshot.
         """
         return self.snapshot().digest(architectural=True)
+
+    def grading_digest(self) -> str:
+        """Hex digest equal between two systems of one configuration
+        exactly when their :meth:`state_digest` is.
+
+        The cheap form grading compares at every checkpoint boundary: each
+        memory bank contributes the hashes of its non-zero pages
+        (:meth:`ExternalMemory.page_digests`) instead of its 7.9 MB of
+        planes, and observation state is dropped with :func:`drop_diag`,
+        which suffices because captures file it only at their top level.
+        """
+        memctrl = self.memctrl
+        # snapshot()'s components minus the observation ones (errors,
+        # perf), with the memory planes replaced by their page hashes.
+        components = (
+            self.ffbank, self.regfile, self.fpu, self.iu, self.icache,
+            self.dcache, memctrl.write_protector, self.timers, self.uart1,
+            self.uart2, self.ioport, self.dma, self.sysregs, self.bus,
+        )
+        parts = (
+            self._ffbank_dirty,
+            [drop_diag(component.capture()) if component is not None
+             else None for component in components],
+            [memory.page_digests() for memory in (
+                memctrl.prom_memory, memctrl.sram_memory,
+                memctrl.io_memory)],
+        )
+        blob = pickle.dumps((repr(self.config), parts), PICKLE_PROTOCOL)
+        return hashlib.sha256(blob).hexdigest()
 
     # -- program loading -------------------------------------------------------------
 

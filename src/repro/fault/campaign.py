@@ -818,7 +818,7 @@ class Campaign:
                 return None, None
             if ctx.recovered:
                 return None, None
-            digest = system.state_digest()
+            digest = system.grading_digest()
             if digest == checkpoint.digest:
                 return checkpoint, None
             # The flush phase is the one behavioural input outside the
@@ -998,7 +998,7 @@ def prepare_warm_start(config: CampaignConfig, *,
             break
         marks.append(GoldenCheckpoint(
             instruction=boundary,
-            digest=system.state_digest(),
+            digest=system.grading_digest(),
             cycles=system.perf.cycles,
             since_flush=state["since_flush"],
             snapshot=(system.snapshot().to_bytes()

@@ -41,10 +41,12 @@ executed in full -- is read out by one function,
 ``Campaign._readout``, which takes the result area from the timeline or
 the machine and extrapolates the unexecuted tail as the exit requires.
 
-Digests are architectural (:meth:`repro.state.snapshot.Snapshot.digest`):
-diag/counter state is excluded, because the error monitor remembers that
-a strike happened long after the architectural state has reconverged --
-and grading must classify exactly those runs early.
+Digests are architectural (:meth:`repro.core.system.LeonSystem.grading_digest`,
+equal exactly when the canonical ``state_digest`` is, at a cost that
+scales with the memory pages a program touches): diag/counter state is
+excluded, because the error monitor remembers that a strike happened long
+after the architectural state has reconverged -- and grading must
+classify exactly those runs early.
 """
 
 from __future__ import annotations
@@ -56,9 +58,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 #: window is too short for the spacing floor).
 DEFAULT_CHECKPOINTS = 16
 
-#: Floor on checkpoint spacing, in instructions.  An architectural digest
-#: costs roughly a thousand simulated instructions of host time, so denser
-#: boundaries would cost diverged runs more than the skipped tail saves.
+#: Floor on checkpoint spacing, in instructions.  Each boundary costs a
+#: grading digest (~1 ms of host time, a few hundred simulated
+#: instructions), so denser boundaries would cost diverged runs more than
+#: the skipped tail saves.
 MIN_CHECKPOINT_INTERVAL = 2_000
 
 

@@ -8,10 +8,17 @@ enabled; without EDAC the check plane is unused.
 
 from __future__ import annotations
 
+import hashlib
+from typing import List, Tuple
+
 import numpy as np
 
 from repro.errors import ConfigurationError, InjectionError, StateError
 from repro.ft.bch import bch_encode
+from repro.state.snapshot import PAGE_BYTES
+
+#: Words per digest page: one page of data words (plus their check bytes).
+PAGE_WORDS = PAGE_BYTES // 4
 
 
 class ExternalMemory:
@@ -85,6 +92,30 @@ class ExternalMemory:
             "words": self._words.tobytes(),
             "check": self._check.tobytes(),
         }
+
+    def page_digests(self) -> List[Tuple[int, bytes]]:
+        """``(page, sha256(words page + check page))`` per non-zero page.
+
+        A page is listed when any of its data words or check bytes is
+        non-zero, so two memories of one size have equal lists exactly
+        when their stored planes are equal -- however a page came to be
+        all-zero (never written, or written and zeroed again).  One
+        reduction over each plane finds the live pages; the cost of the
+        hashes scales with the memory a program touches, not the bank.
+        """
+        words, check = self._words, self._check
+        full = len(words) - len(words) % PAGE_WORDS
+        live = np.flatnonzero(
+            words[:full].reshape(-1, PAGE_WORDS).max(axis=1)
+            | check[:full].reshape(-1, PAGE_WORDS).max(axis=1)).tolist()
+        if full < len(words) and (words[full:].any() or check[full:].any()):
+            live.append(full // PAGE_WORDS)
+        digests = []
+        for page in live:
+            span = slice(page * PAGE_WORDS, (page + 1) * PAGE_WORDS)
+            digests.append((page, hashlib.sha256(
+                words[span].tobytes() + check[span].tobytes()).digest()))
+        return digests
 
     def restore(self, state: dict) -> None:
         words = np.frombuffer(state["words"], dtype=np.uint32)

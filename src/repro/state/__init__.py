@@ -6,6 +6,7 @@ from repro.state.snapshot import (
     OBSERVATION_COMPONENTS,
     Snapshot,
     capture_rng,
+    drop_diag,
     restore_rng,
     strip_diag,
 )
@@ -16,6 +17,7 @@ __all__ = [
     "OBSERVATION_COMPONENTS",
     "Snapshot",
     "capture_rng",
+    "drop_diag",
     "restore_rng",
     "strip_diag",
 ]

@@ -142,6 +142,29 @@ def test_hash_with_strip_diag_is_clean():
         "    return hashlib.sha256(payload).hexdigest()\n") == []
 
 
+def test_hash_with_drop_diag_is_clean():
+    assert analyze_source(
+        "import hashlib\n"
+        "import pickle\n"
+        "from repro.state.snapshot import drop_diag\n"
+        "def digest(self):\n"
+        "    payload = pickle.dumps(drop_diag(self.cache.capture()))\n"
+        "    return hashlib.sha256(payload).hexdigest()\n") == []
+
+
+def test_hash_with_diag_helper_elsewhere_is_still_flagged():
+    findings = analyze_source(
+        "import hashlib\n"
+        "import pickle\n"
+        "from repro.state.snapshot import drop_diag\n"
+        "def view(self):\n"
+        "    return drop_diag(self.cache.capture())\n"
+        "def digest(self):\n"
+        "    payload = pickle.dumps(self.cache.capture())\n"
+        "    return hashlib.sha256(payload).hexdigest()\n")
+    assert _codes(findings) == ["FT205"]
+
+
 def test_hash_over_components_without_strip_diag_is_flagged():
     findings = analyze_source(
         "import hashlib\n"

@@ -206,9 +206,20 @@ def test_state_save_and_info(tmp_path, capsys):
                  "--instructions", "2000"]) == 0
     assert main(["state", "info", path]) == 0
     out = capsys.readouterr().out
-    assert "format version: 1" in out
+    assert "format version: 2" in out
     assert "regfile" in out
     assert "architectural digest" in out
+
+
+def test_state_info_rejects_v1_file(tmp_path, capsys):
+    import pickle
+    import zlib
+
+    path = tmp_path / "old.bin"
+    path.write_bytes(zlib.compress(pickle.dumps(
+        {"version": 1, "config_key": "x", "components": {}}, 4)))
+    assert main(["state", "info", str(path)]) == 1
+    assert "v1 != supported v2" in capsys.readouterr().err
 
 
 def test_ingest_results_into_database(tmp_path, capsys):
