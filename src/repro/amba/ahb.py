@@ -154,6 +154,16 @@ class AhbBus:
             master.granted_cycles += result.cycles
         return result
 
+    def account_burst(self, master: Optional[AhbMaster], beats: int,
+                      cycles: int) -> None:
+        """Book a ``beats``-beat burst of ``cycles`` bus cycles in total
+        that the caller served without a transfer (a clean cache-line
+        refill): the same totals as accounting each beat."""
+        self.transfers += beats
+        self.busy_cycles += cycles
+        if master is not None:
+            master.granted_cycles += cycles
+
     def read(self, address: int, size: TransferSize = TransferSize.WORD,
              master: Optional[AhbMaster] = None) -> BusResult:
         """One read transfer.  Unmapped addresses get an ERROR response."""

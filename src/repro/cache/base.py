@@ -15,13 +15,14 @@ a miss and the line is re-fetched from external memory -- parity errors are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from repro.amba.ahb import AhbBus, AhbMaster, TransferSize
 from repro.cache.ram import CacheRam
 from repro.core.config import CacheConfig
 from repro.core.statistics import ErrorCounters, PerfCounters
 from repro.ft.protection import ErrorKind
+from repro.mem.memctrl import MemoryBank
 from repro.telemetry.bus import NULL_TELEMETRY, Telemetry
 
 
@@ -260,9 +261,93 @@ class CacheBase:
         self._count_hit()
         return access
 
+    # -- clean refill -------------------------------------------------------------
+    #
+    # A refill whose whole line lies in one memory bank and reads back
+    # EDAC-clean has fixed effects: no correction, no error, no telemetry.
+    # ``_refill`` applies them through ``_install_line`` instead of a bus
+    # burst, and the trace JIT's compiled fetches call the same function
+    # (through ``clean_refill``), so the two tiers share one definition.
+
+    def _clean_line(self, address: int) -> Optional[Tuple[List[int], int]]:
+        """``(words, burst cycles)`` of the line holding ``address`` when
+        it lies in one memory bank and every word is EDAC-clean, else
+        None.  Side-effect free."""
+        base = address & ~(self.config.line_bytes - 1)
+        bank = self.bus.decode(base)
+        if not isinstance(bank, MemoryBank) \
+                or not bank.covers(base + self.config.line_bytes - 1):
+            return None
+        count = self.words_per_line
+        words = bank.memory.clean_words(base - bank.base, count)
+        if words is None:
+            return None
+        return words, bank.burst_cycles(count)
+
+    def _install_line(self, address: int, words: List[int],
+                      cycles: int) -> int:
+        """Apply a clean refill of the line holding ``address``: the miss
+        count, the burst's AHB accounting, every data word and the
+        all-valid tag.  Returns the burst's bus ``cycles``."""
+        self._count_miss()
+        self.bus.account_burst(self.master, len(words), cycles)
+        index = (address >> self._offset_bits) & self._index_mask
+        write = self.data_ram.write
+        slot = index * self.words_per_line
+        for data in words:
+            write(slot, data)
+            slot += 1
+        self.tag_ram.write(index, self._tag_entry(
+            address >> self._tag_shift, self._valid_mask))
+        return cycles
+
+    def refill_probe(self, address: int,
+                     word: int) -> Optional[Tuple[List[int], int]]:
+        """Side-effect-free test that :meth:`lookup` of ``address`` would
+        be a plain miss whose clean refill delivers ``word``: the tag is
+        not suspect, the word is not resident (a resident word is a hit,
+        or a parity-forced miss when suspect), the line is clean in a
+        memory bank and holds ``word``.  Returns what
+        :meth:`_install_line` needs, or None."""
+        index = (address >> self._offset_bits) & self._index_mask
+        tag_ram = self.tag_ram
+        if tag_ram._suspect and index in tag_ram._suspect:
+            return None
+        entry = tag_ram._data[index]
+        offset = (address >> 2) & self._word_mask
+        if (entry >> self.words_per_line) == (address >> self._tag_shift) \
+                and (entry >> offset) & 1:
+            return None
+        line = self._clean_line(address)
+        if line is None or line[0][offset] != word:
+            return None
+        return line
+
+    def memory_word(self, address: int) -> Optional[int]:
+        """The word a clean refill of ``address`` would deliver, or None
+        when its line is not clean in a memory bank.  Side-effect free."""
+        line = self._clean_line(address)
+        if line is None:
+            return None
+        return line[0][(address >> 2) & self._word_mask]
+
+    def clean_refill(self, address: int, word: int) -> Optional[int]:
+        """Perform the refill :meth:`refill_probe` vouches for and return
+        its bus cycles; None (nothing changed) when the probe refuses."""
+        line = self.refill_probe(address, word)
+        if line is None:
+            return None
+        return self._install_line(address, *line)
+
     def _refill(self, address: int, access: CacheAccess) -> CacheAccess:
         """Fetch the whole line from memory, applying sub-blocking."""
         access.hit = False
+        line = self._clean_line(address)
+        if line is not None:
+            words, cycles = line
+            access.cycles += self._install_line(address, words, cycles)
+            access.data = words[self._word(address)]
+            return access
         self._count_miss()
         index = self._index(address)
         base = self._line_base(address)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -113,7 +114,11 @@ class LeonSystem:
                           raise_irq=raise_irq, ffbank=self.ffbank)
         self.ioport = IoPort(raise_irq=raise_irq, ffbank=self.ffbank)
         self.errmon = ErrorMonitor(self.errors)  # state: wiring -- view over self.errors, captured as 'errors'
-        self.dma = DmaEngine(self.bus, ffbank=self.ffbank)
+        # The DMA masters the bus that (through the APB bridge) holds it,
+        # and the system registers drive the caches that hold that bus:
+        # both back edges are weak, so a finished run's device is freed
+        # by refcount instead of waiting for a cyclic GC pass.
+        self.dma = DmaEngine(weakref.proxy(self.bus), ffbank=self.ffbank)
         for slave in (self.sysregs, self.timers, self.uart1, self.uart2,
                       self.irqctrl, self.ioport, self.errmon, self.dma):
             self.apb.attach(slave)
@@ -126,8 +131,8 @@ class LeonSystem:
         self.dcache.double_store_delay = (
             config.ft.regfile_protection is not ProtectionScheme.NONE
         )
-        self.sysregs.icache = self.icache
-        self.sysregs.dcache = self.dcache
+        self.sysregs.icache = weakref.proxy(self.icache)
+        self.sysregs.dcache = weakref.proxy(self.dcache)
         self.sysregs.write_protector = self.memctrl.write_protector
 
         # -- processor -------------------------------------------------------------------
@@ -139,15 +144,18 @@ class LeonSystem:
         self.special = SpecialRegisters(self.ffbank, config.nwindows,  # state: wiring -- register state lives in the ffbank
                                         reset_pc=config.memory.prom_base)
         if config.has_fpu:
+            # Closed over components, not ``self``: a callback holding the
+            # system would make it a reference cycle that outlives its run.
+            errors, perf, telemetry = self.errors, self.perf, self.telemetry
+            mech = config.ft.regfile_protection.value
+
             def _count_fp_correction() -> None:
                 # The f-registers live in the register-file RAM: their
                 # corrections increment the same RFE counter (section 4.4).
-                self.errors.rfe += 1
-                self.perf.pipeline_restarts += 1
-                telemetry = self.telemetry
+                errors.rfe += 1
+                perf.pipeline_restarts += 1
                 if telemetry.enabled:
-                    instr_count = self.perf.instructions
-                    mech = config.ft.regfile_protection.value
+                    instr_count = perf.instructions
                     telemetry.detect("fpregs", None, mech=mech,
                                      kind="correctable", counter="RFE",
                                      instr=instr_count)

@@ -7,6 +7,24 @@ invariant ``npc == pc + 4`` and ``annul == 0``, so a block whose ender
 targets its own first address iterates inside the compiled closure
 without returning to the driver.
 
+Blocks are discovered from the memory image: each word is the resident
+i-cache word when there is one, else the memory word a clean refill
+would deliver.  Each block has two variants of one codegen.  The
+*fast* variant runs when every word is resident at entry; it fetches
+nothing.  The *checked* variant (compiled on first use) tests each
+fetch against the i-cache.  Where the instruction cannot deopt after
+its fetch (SETHI, ALU ops, Bicc/CALL enders and executed ALU delay
+slots) a plain miss refills through ``CacheBase.clean_refill``, the
+function the interpreter's own refill uses for a clean line, and adds
+its cycles; ``icache_hits`` commits as steps minus refills.  Because
+no exit may leave annul set, the ender first proves side-effect free
+that it and its delay slot can both be fetched.  The checked variant
+exits at its loop-back, so the next entry can take the fast variant.
+
+Compiled code is cached per process, keyed by ``(repr(config), pc,
+block words)``, and bound to a system by executing the code object
+into a fresh namespace of its components.
+
 The generated closure replays the interpreter's fault-free fast path
 exactly: per-instruction cycle constants from :mod:`repro.iu.timing`,
 the same icc algebra, the same sub-word extraction as
@@ -24,11 +42,16 @@ applied, so the interpreter re-executes it from fetch.  Deopt sites are
 load/store address misalignment (trap path), d-cache probe misses
 (refill, parity suspects, uncached timing), stores outside SRAM
 (protector, read-only PROM, APB side effects) and misaligned JMPL
-targets.  Everything else -- interrupts, traps, suspects in the block's
-registers, i-cache words or (for blocks with stores) d-cache tags, TMR
-upsets, peripheral activity -- is excluded by the burst entry guards in
-:mod:`repro.jit.engine` and cannot arise mid-burst (memory-mapped
-peripherals are only reachable through stores, which deopt first).
+targets.  In the checked variant they also include every fetch that is
+not a clean hit or a clean plain miss of the compiled word (suspect
+tag or word, EDAC-correctable or uncorrectable line, a word rewritten
+in memory), every non-resident fetch of a load, store or JMPL, and an
+ender whose own or delay-slot fetch could not be replayed.  Everything
+else -- interrupts, traps, suspects in the block's registers or (for
+blocks with stores) d-cache tags, TMR upsets, peripheral activity --
+is excluded by the burst entry guards in :mod:`repro.jit.engine` and
+cannot arise mid-burst (memory-mapped peripherals are only reachable
+through stores, which deopt first).
 
 ``BLOCK_OBSERVABLES`` names the per-step FT observables every exit
 must fold back into ``PerfCounters``; the FT601 lint rule checks the
@@ -37,7 +60,8 @@ epilogue covers each one.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from types import CodeType
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.amba.ahb import TransferSize
 from repro.iu import timing
@@ -57,6 +81,15 @@ MAX_BLOCK_INSTRUCTIONS = 64
 #: A fallthrough-only block (no control-transfer ender) must amortize
 #: entry guards over at least this many instructions to be worth it.
 MIN_FALLTHROUGH_INSTRUCTIONS = 4
+
+#: Bound on the per-process code cache (entries); cleared wholesale
+#: when exceeded.
+MAX_CODE_CACHE = 1024
+
+#: ``(repr(config), pc, block words) -> _Code``.  Holds only code
+#: objects and plain data, never a system or component, so it keeps
+#: nothing of a finished run alive.
+_CODE_CACHE: Dict[Tuple[str, int, Tuple[int, ...]], "_Code"] = {}
 
 # Straight-line ALU work the closure replays inline.
 _ADDSUB = {
@@ -96,40 +129,49 @@ _ALIGN_MASK = {Op3Mem.LD: 3, Op3Mem.LDUB: 0, Op3Mem.LDUH: 1,
 
 
 class CompiledBlock:
-    """One compiled trace block and the facts the engine needs to run it."""
+    """One compiled trace block bound to a system, and the facts the
+    engine needs to run it."""
 
     __slots__ = ("pc", "end_pc", "verify", "addresses", "regs",
-                 "has_store", "fn", "max_path_instructions", "source")
+                 "has_store", "max_path_instructions", "source",
+                 "entry", "fn", "checked", "cached")
 
-    def __init__(self, pc: int, end_pc: int,
-                 verify: Tuple[Tuple[int, int], ...],
-                 addresses: Set[int], regs: Tuple[int, ...],
-                 has_store: bool, fn,
-                 max_path_instructions: int, source: str) -> None:
-        self.pc = pc
-        self.end_pc = end_pc
+    def __init__(self, entry: "_Code", fn, cached: bool) -> None:
+        facts = entry.facts
+        self.pc: int = facts["pc"]
+        self.end_pc: int = facts["end_pc"]
         #: (address, word) pairs re-checked against the i-cache at every
-        #: burst entry; a mismatch (evicted line, injected parity
-        #: suspect, reloaded program) drops the block.
-        self.verify = verify
+        #: burst entry: all resident runs ``fn``, some not resident runs
+        #: ``checked``, and a resident word that differs (a reloaded or
+        #: rewritten program) drops the block.
+        self.verify: Tuple[Tuple[int, int], ...] = facts["verify"]
         #: Every pc the interpreter would visit inside a burst iteration;
         #: a stop_pc in this set forbids compiled execution.
-        self.addresses = addresses
+        self.addresses: FrozenSet[int] = facts["addresses"]
         #: Architectural registers (``%g0`` excluded) the block reads or
         #: writes.  The codegen ``use()``s every source operand of every
         #: executed instruction, even ones the closure ignores (RDASR's
         #: rs1), so this covers each register the interpreter's
         #: execute-stage check would examine.  A register-file suspect
         #: among them, mapped through the entry CWP, refuses the burst.
-        self.regs = regs
+        self.regs: Tuple[int, ...] = facts["regs"]
         #: The block contains a store, which probes the d-cache tag RAM
         #: through ``DataCache.write``; a suspect tag refuses the burst.
-        self.has_store = has_store
-        self.fn = fn
+        self.has_store: bool = facts["has_store"]
         #: Most instructions one loop iteration can retire; the budget
         #: guard exits while at least this many remain.
-        self.max_path_instructions = max_path_instructions
-        self.source = source
+        self.max_path_instructions: int = facts["max_path_instructions"]
+        self.source: str = facts["source"]
+        #: The code-cache entry this block was bound from.
+        self.entry = entry
+        #: The fast variant: every fetch is a hit (proven at entry).
+        self.fn = fn
+        #: The checked variant, bound by :func:`bind_checked` on first
+        #: use: tests each fetch, refills clean plain misses and runs
+        #: one iteration.
+        self.checked: Optional[Callable] = None
+        #: Bound from the per-process code cache, not compiled anew.
+        self.cached = cached
 
 
 def _classify(instr: Instr) -> Optional[str]:
@@ -188,8 +230,11 @@ def _cond_expr(cond: int) -> str:
 class _Codegen:
     """Emits the closure source for one discovered block."""
 
-    def __init__(self, system, pc: int) -> None:
+    def __init__(self, system, pc: int, checked: bool = False) -> None:
         self.system = system
+        #: Emit the checked variant: every fetch is tested against the
+        #: i-cache and a plain miss refills through ``IFILL``.
+        self.checked = checked
         regfile = system.iu.regfile
         self.nw16 = regfile.nwindows * 16
         self.copies = regfile._copies
@@ -262,9 +307,66 @@ class _Codegen:
         self.emit("deopt = True", ind + 1)
         self.emit("break", ind + 1)
 
+    def deopt_pending(self, addr: int, xnpc: str, ind: int) -> None:
+        """A deopt exit that commits the pending tallies inside its own
+        branch, leaving them pending (unflushed) on the main path."""
+        for name, value in self.pend.items():
+            if value:
+                self.emit(f"{name} += {value}", ind)
+        self.emit(f"xpc = {addr:#x}", ind)
+        self.emit(f"xnpc = {xnpc}", ind)
+        self.emit("deopt = True", ind)
+        self.emit("break", ind)
+
+    def fetch(self, addr: int, word: int, ind: int, xnpc: str,
+              refill: bool) -> None:
+        """Checked variant only: the fetch of ``word`` at ``addr``.  A
+        resident word is a hit; otherwise, where ``refill`` allows (the
+        instruction cannot deopt after its fetch), a clean plain miss
+        refills the line and adds its cycles, and anything else deopts
+        before the fetch."""
+        if not self.checked:
+            return
+        self.emit(f"if IPEEK({addr:#x}) != {word:#x}:", ind)
+        if not refill:
+            self.deopt_pending(addr, xnpc, ind + 1)
+            return
+        self.emit(f"_f = IFILL({addr:#x}, {word:#x})", ind + 1)
+        self.emit("if _f is None:", ind + 1)
+        self.deopt_pending(addr, xnpc, ind + 2)
+        self.emit("n_c += _f", ind + 1)
+        self.emit("n_m += 1", ind + 1)
+
+    def fetch_annulled(self, addr: int, word: int, ind: int) -> None:
+        """Checked variant only: fetch an annulled delay slot, whose word
+        is never executed.  ``ender_precheck`` proved before any refill
+        that it is resident or cleanly refillable, and the ender's own
+        refill can only have made it resident, so this never fails."""
+        if not self.checked:
+            return
+        self.emit(f"if IPEEK({addr:#x}) is None:", ind)
+        self.emit(f"n_c += IFILL({addr:#x}, {word:#x})", ind + 1)
+        self.emit("n_m += 1", ind + 1)
+
+    def ender_precheck(self, addr: int, word: int, daddr: int, dword: int,
+                       ender_refills: bool, ind: int) -> None:
+        """Checked variant only: no exit leaves annul set, so before the
+        ender fetches anything, prove side-effect free that the ender
+        (resident, or cleanly refillable when ``ender_refills``) and its
+        delay slot (resident or cleanly refillable) can both be fetched;
+        otherwise deopt at the ender."""
+        if not self.checked:
+            return
+        ender = f"IPEEK({addr:#x}) != {word:#x}"
+        if ender_refills:
+            ender = f"{ender} and IPROBE({addr:#x}, {word:#x}) is None"
+        self.emit(f"if ({ender}) or (IPEEK({daddr:#x}) != {dword:#x} and "
+                  f"IPROBE({daddr:#x}, {dword:#x}) is None):", ind)
+        self.deopt_pending(addr, f"{(addr + 4) & 0xFFFFFFFF:#x}", ind + 1)
+
     # -------------------------------------------------------- instructions
 
-    def emit_instr(self, instr: Instr, addr: int, ind: int,
+    def emit_instr(self, instr: Instr, addr: int, word: int, ind: int,
                    deopt_npc: Optional[str] = None) -> None:
         """One supported straight-line instruction at ``addr``."""
         if deopt_npc is None:
@@ -274,6 +376,9 @@ class _Codegen:
             # _writes reset; keep the list content identical.
             self.emit("IU._writes = []", ind)
         self.prev_was_store = False
+        # Loads and stores can deopt after their fetch, so they never
+        # refill: a deopt must leave the miss to the interpreter.
+        self.fetch(addr, word, ind, deopt_npc, refill=instr.op != Op.MEM)
 
         op = instr.op
         if op == Op.FORMAT2:  # SETHI / NOP
@@ -488,15 +593,25 @@ class _Codegen:
 
     # --------------------------------------------------------------- ender
 
-    def emit_ender(self, instr: Instr, addr: int,
-                   delay: Tuple[int, Instr], ind: int) -> None:
+    def emit_ender(self, instr: Instr, addr: int, word: int,
+                   delay: Tuple[int, int, Instr], ind: int) -> None:
         """The delayed control transfer closing the block, its delay
         slot, and the loop-back/exit decision."""
-        daddr, dinstr = delay
+        daddr, dword, dinstr = delay
         fallthrough = (addr + 8) & 0xFFFFFFFF
         if self.prev_was_store:
             self.emit("IU._writes = []", ind)
             self.prev_was_store = False
+        # JMPL can deopt (misaligned target) after its fetch, and in a
+        # one-line i-cache an ender's refill could evict its delay slot's
+        # line: such an ender must be resident.
+        icache = self.system.icache
+        line = icache.config.line_bytes
+        refills = instr.op != Op.ARITH and (
+            icache.lines > 1 or addr // line == daddr // line)
+        self.ender_precheck(addr, word, daddr, dword, refills, ind)
+        if refills:
+            self.fetch(addr, word, ind, f"{(addr + 4) & 0xFFFFFFFF:#x}", True)
 
         if instr.op == Op.CALL:
             dst = self.setreg(15)
@@ -523,6 +638,7 @@ class _Codegen:
         self.tally(c=1, i=1, s=1)
         if cond == 8:  # BA
             if instr.annul:
+                self.fetch_annulled(daddr, dword, ind)
                 self.tally(c=1, s=1)  # annulled slot: fetch only
                 self._finish_exit(f"{target:#x}", target, ind)
             else:
@@ -530,6 +646,7 @@ class _Codegen:
             return
         if cond == 0:  # BN
             if instr.annul:
+                self.fetch_annulled(daddr, dword, ind)
                 self.tally(c=1, s=1)
                 self._finish_exit(f"{fallthrough:#x}", fallthrough, ind)
             else:
@@ -544,47 +661,56 @@ class _Codegen:
             self.emit(f"_dnpc = {target:#x}", ind + 1)
             self.emit("else:", ind)
             self.emit(f"_dnpc = {fallthrough:#x}", ind + 1)
-            self.emit_instr(dinstr, daddr, ind, deopt_npc="_dnpc")
+            self.emit_instr(dinstr, daddr, dword, ind, deopt_npc="_dnpc")
             self._finish_exit("_dnpc", None, ind)
         else:
             # Annulling conditional: the slot executes only when taken.
             self.emit(f"if {_cond_expr(cond)}:", ind)
-            self.emit_instr(dinstr, daddr, ind + 1,
+            self.emit_instr(dinstr, daddr, dword, ind + 1,
                             deopt_npc=f"{target:#x}")
             self.flush(ind + 1)
             self.emit(f"_dnpc = {target:#x}", ind + 1)
             self.prev_was_store = False
             self.emit("else:", ind)
+            self.fetch_annulled(daddr, dword, ind + 1)
             self.tally(c=1, s=1)
             self.flush(ind + 1)
             self.emit(f"_dnpc = {fallthrough:#x}", ind + 1)
             self._finish_exit("_dnpc", None, ind)
 
     def _finish_taken(self, next_expr: str, next_const: Optional[int],
-                      delay: Tuple[int, Instr], ind: int) -> None:
+                      delay: Tuple[int, int, Instr], ind: int) -> None:
         """Unconditional transfer: execute the delay slot, then exit or
         loop."""
-        daddr, dinstr = delay
+        daddr, dword, dinstr = delay
         if next_const is None:
             self.emit(f"_dnpc = {next_expr}", ind)
-            self.emit_instr(dinstr, daddr, ind, deopt_npc="_dnpc")
+            self.emit_instr(dinstr, daddr, dword, ind, deopt_npc="_dnpc")
             self._finish_exit("_dnpc", None, ind)
         else:
-            self.emit_instr(dinstr, daddr, ind,
+            self.emit_instr(dinstr, daddr, dword, ind,
                             deopt_npc=f"{next_const:#x}")
             self._finish_exit(next_expr, next_const, ind)
 
     def _finish_exit(self, next_expr: str, next_const: Optional[int],
                      ind: int) -> None:
         """Exit the burst at ``next_expr``, or fall through to the loop
-        top when it equals the block entry."""
+        top when it equals the block entry.  The checked variant always
+        exits, so a loop re-enters through the engine, which picks the
+        fast variant once every word is resident."""
         entry = self.pc
         self.flush(ind)
-        if next_const is not None and next_const == entry:
+        if next_const is not None and next_const == entry \
+                and not self.checked:
             return  # static self-loop: iterate
         if next_const is not None:
             self.emit(f"xpc = {next_const:#x}", ind)
             self.emit(f"xnpc = {(next_const + 4) & 0xFFFFFFFF:#x}", ind)
+            self.emit("break", ind)
+            return
+        if self.checked:
+            self.emit(f"xpc = {next_expr}", ind)
+            self.emit(f"xnpc = ({next_expr} + 4) & 0xFFFFFFFF", ind)
             self.emit("break", ind)
             return
         self.emit(f"if {next_expr} != {entry:#x}:", ind)
@@ -594,9 +720,9 @@ class _Codegen:
 
     # ------------------------------------------------------------ assembly
 
-    def assemble(self, max_path_instructions: int) -> str:
+    def assemble(self, name: str, max_path_instructions: int) -> str:
         entry = self.pc
-        pro: List[str] = [f"def _block_{entry:x}(budget):"]
+        pro: List[str] = [f"def {name}(budget):"]
 
         def p(line: str, ind: int = 1) -> None:
             pro.append("    " * ind + line)
@@ -631,6 +757,8 @@ class _Codegen:
             # (so dcache.write telemetry stamps match); the burst's true
             # retired count is f_i + n_i.
             counters += ["n_st", "f_i"]
+        if self.checked:
+            counters.append("n_m")  # fetches that refilled (misses)
         p(" = ".join(counters) + " = 0")
         p("deopt = False")
         p(f"xpc = {entry:#x}")
@@ -664,7 +792,8 @@ class _Codegen:
         # Every BLOCK_OBSERVABLES counter commits here (lint: FT601).
         e("PERF.cycles += n_c")
         e("PERF.instructions += n_i")
-        e("PERF.icache_hits += n_s")
+        e("PERF.icache_hits += n_s - n_m" if self.checked
+          else "PERF.icache_hits += n_s")
         if self.has_loads:
             e("PERF.loads += n_ld")
             e("PERF.dcache_hits += n_dh")
@@ -675,19 +804,35 @@ class _Codegen:
         return "\n".join(pro + self.lines + epi) + "\n"
 
 
-def build_block(system, pc: int) -> Optional[CompiledBlock]:
-    """Discover and compile the block at ``pc``; None if nothing there
-    is worth compiling (not cached, unsupported head, too short)."""
+def _discover(system, pc: int):
+    """The block at ``pc`` as ``(straight, ender, delay)`` lists of
+    ``(address, word, instr)``, or None when nothing there is worth
+    compiling (uncacheable, unsupported head, too short).
+
+    Each word is the resident i-cache word when there is one -- what
+    the interpreter would execute -- and otherwise the memory word a
+    clean refill would deliver, so a block is found whether or not its
+    lines are cached.  Side-effect free.
+    """
     if pc & 3 or pc >= 0xFFFFFF00:
         return None
     icache = system.icache
     peek = icache.peek_word
+    memory_word = icache.memory_word
+    cacheable = system.memctrl.is_cacheable
+
+    def word_at(addr: int) -> Optional[int]:
+        if not cacheable(addr):
+            return None
+        word = peek(addr)
+        return memory_word(addr) if word is None else word
+
     straight: List[Tuple[int, int, Instr]] = []
     ender: Optional[Tuple[int, int, Instr]] = None
     delay: Optional[Tuple[int, int, Instr]] = None
     addr = pc
     while len(straight) < MAX_BLOCK_INSTRUCTIONS - 2:
-        word = peek(addr)
+        word = word_at(addr)
         if word is None:
             break
         instr = decode(word)
@@ -697,7 +842,7 @@ def build_block(system, pc: int) -> Optional[CompiledBlock]:
             addr = (addr + 4) & 0xFFFFFFFF
             continue
         if kind == "ender":
-            dword = peek((addr + 4) & 0xFFFFFFFF)
+            dword = word_at((addr + 4) & 0xFFFFFFFF)
             if dword is not None:
                 dinstr = decode(dword)
                 executes = not _always_annuls(instr)
@@ -708,14 +853,19 @@ def build_block(system, pc: int) -> Optional[CompiledBlock]:
 
     if ender is None and len(straight) < MIN_FALLTHROUGH_INSTRUCTIONS:
         return None
+    return straight, ender, delay
 
-    gen = _Codegen(system, pc)
-    for iaddr, _word, instr in straight:
-        gen.emit_instr(instr, iaddr, 2)
+
+def _generate(system, pc: int, name: str, checked: bool, straight,
+              ender, delay) -> Tuple[str, _Codegen, int, int]:
+    """One variant's source, its codegen facts, end pc and longest
+    path."""
+    gen = _Codegen(system, pc, checked)
+    for iaddr, iword, instr in straight:
+        gen.emit_instr(instr, iaddr, iword, 2)
     if ender is not None:
-        eaddr, _eword, einstr = ender
-        daddr, _dword, dinstr = delay
-        gen.emit_ender(einstr, eaddr, (daddr, dinstr), 2)
+        eaddr, eword, einstr = ender
+        gen.emit_ender(einstr, eaddr, eword, delay, 2)
         end_pc = (eaddr + 8) & 0xFFFFFFFF
         max_path = len(straight) + 1 + (0 if _always_annuls(einstr) else 1)
     else:
@@ -726,11 +876,50 @@ def build_block(system, pc: int) -> Optional[CompiledBlock]:
         gen.emit(f"xnpc = {(end_pc + 4) & 0xFFFFFFFF:#x}", 2)
         gen.emit("break", 2)
         max_path = len(straight)
+    return gen.assemble(name, max_path), gen, end_pc, max_path
 
-    source = gen.assemble(max_path)
 
+class _Code:
+    """One code-cache entry: the discovered block, its facts and code
+    objects -- plain data only.  The checked variant is compiled on
+    first use (a block whose lines stay cached never needs it)."""
+
+    __slots__ = ("found", "facts", "fast", "checked")
+
+    def __init__(self, found, facts: dict, fast: CodeType) -> None:
+        self.found = found
+        self.facts = facts
+        self.fast = fast
+        self.checked: Optional[CodeType] = None
+
+
+def _compile(system, pc: int, found) -> _Code:
+    """Compile the fast variant and record the block's facts."""
+    straight, ender, delay = found
+    source, gen, end_pc, max_path = _generate(
+        system, pc, f"_block_{pc:x}", False, *found)
+    words = list(straight)
+    if ender is not None:
+        words += [ender, delay]
+    facts = dict(
+        pc=pc, end_pc=end_pc,
+        verify=tuple((iaddr, word) for iaddr, word, _instr in words),
+        addresses=frozenset(iaddr for iaddr, _word, _instr in words),
+        regs=tuple(sorted(gen.reads | gen.written)),
+        has_store=gen.any_store, max_path_instructions=max_path,
+        source=source)
+    return _Code(found, facts,
+                 compile(source, f"<jit-block {pc:#x}>", "exec"))
+
+
+def _load(system, code: CodeType, name: str):
+    """Execute a code object into a fresh namespace bound to
+    ``system``'s components and take out the function it defines.
+    Popping it leaves only function -> namespace -> components, no
+    cycle, so a dead system is freed by refcount."""
     iu = system.iu
     regs = iu.r
+    icache = system.icache
     namespace = {
         "IU": iu,
         "RF": iu.regfile,
@@ -743,18 +932,54 @@ def build_block(system, pc: int) -> Optional[CompiledBlock]:
         "DPEEK": system.dcache.peek_word,
         "DCW": system.dcache.write,
         "W": TransferSize.WORD,
+        "IPEEK": icache.peek_word,
+        "IPROBE": icache.refill_probe,
+        "IFILL": icache.clean_refill,
     }
-    code = compile(source, f"<jit-block {pc:#x}>", "exec")
     exec(code, namespace)
-    fn = namespace[f"_block_{pc:x}"]
+    return namespace.pop(name)
 
-    verify = tuple((iaddr, word) for iaddr, word, _instr in straight)
-    addresses = {iaddr for iaddr, _w, _i in straight}
+
+def build_block(system, pc: int,
+                config_key: Optional[str] = None) -> Optional[CompiledBlock]:
+    """Discover the block at ``pc`` and bind its fast variant to
+    ``system``; None if nothing there is worth compiling.
+
+    Code is compiled once per process for each ``(configuration, pc,
+    block words)``: a later system of the same configuration that finds
+    the same words at ``pc`` -- a fresh campaign run, a forked worker
+    inheriting the golden run's cache -- only binds it.  Different
+    words (a reloaded program) are a different key, so stale code is
+    never reused.  ``config_key`` is ``repr(system.config)``, which a
+    caller may pass precomputed.
+    """
+    found = _discover(system, pc)
+    if found is None:
+        return None
+    straight, ender, delay = found
+    if config_key is None:
+        config_key = repr(system.config)
+    words = tuple(word for _addr, word, _instr in straight)
     if ender is not None:
-        verify += ((ender[0], ender[1]), (delay[0], delay[1]))
-        addresses.add(ender[0])
-        addresses.add(delay[0])
-    regs = tuple(sorted(gen.reads | gen.written))
-    return CompiledBlock(pc, end_pc, verify, addresses, regs,
-                         gen.any_store, fn, max_path, source)
+        words += (ender[1], delay[1])
+    key = (config_key, pc, words)
+    entry = _CODE_CACHE.get(key)
+    cached = entry is not None
+    if entry is None:
+        if len(_CODE_CACHE) >= MAX_CODE_CACHE:
+            _CODE_CACHE.clear()
+        entry = _CODE_CACHE[key] = _compile(system, pc, found)
+    return CompiledBlock(entry, _load(system, entry.fast, f"_block_{pc:x}"),
+                         cached)
 
+
+def bind_checked(system, block: CompiledBlock):
+    """``block``'s checked variant bound to ``system`` (compiled into
+    its code-cache entry on first use by any system)."""
+    entry = block.entry
+    name = f"_block_{block.pc:x}_checked"
+    if entry.checked is None:
+        source = _generate(system, block.pc, name, True, *entry.found)[0]
+        entry.checked = compile(source, f"<jit-block {block.pc:#x}>", "exec")
+    block.checked = _load(system, entry.checked, name)
+    return block.checked

@@ -19,16 +19,28 @@ interpreter would take its fault-free fast path for the whole burst:
   proven no-op for any number of burst cycles, so it is skipped;
 * no fault in flight: every TMR register guard-listed clean, the
   write protector disabled;
-* caches enabled and every block word still verifying against the
-  i-cache (a mismatch -- eviction, injected suspect, reloaded program
-  -- drops the block for recompilation);
+* caches enabled, and every block word either resident in the
+  i-cache or not resident at all.  A resident word that differs from
+  the compiled one (a reloaded or rewritten program) drops the block
+  for recompilation (``stats["verify_drops"]``).  All words resident
+  selects the block's fast variant; otherwise its checked variant runs
+  (``stats["checked_entries"]``), which tests each fetch and performs
+  clean plain misses itself (``stats["refills"]``);
 * no parity/BCH suspect the burst could meet.  Upsets outside the
   block's footprint stay latent exactly as under interpretation, so
   each array is guarded only where the burst touches it:
 
-  - i-cache: no extra guard.  Word verification goes through
+  - i-cache: no extra guard.  Residency is tested through
     ``peek_word``, which fails for a suspect tag or data index, and a
-    burst fetches no word outside its block;
+    burst fetches no word outside its block.  The fast variant runs
+    only when every block word is a clean hit.  The checked variant
+    refills a line only through ``CacheBase.clean_refill``, whose
+    probe refuses a suspect tag, a resident (possibly suspect) word
+    and a line that is not EDAC-clean in a memory bank; the block
+    deopts there and the interpreter takes the parity-forced miss,
+    the EDAC correction or the access-error trap.  A refill rewrites
+    the line's data words, clearing their suspects exactly as the
+    interpreter's refill does;
   - d-cache loads: no guard.  Compiled loads probe with ``DPEEK``
     (``peek_word``) and deopt on ``None``, so the interpreter performs
     the forced miss;
@@ -49,6 +61,12 @@ interpreter would take its fault-free fast path for the whole burst:
 * a stop_pc never inside the block and enough instruction budget for
   one worst-case iteration.
 
+Hot counting is per system, compiled code per process: blocks are
+bound from :mod:`repro.jit.blocks`' code cache (``stats[
+"code_cache_hits"]``), and a burst that leaves its block without a
+deopt primes its exit pc hot, so after a ``restore()`` a loop primed
+at one head is compiled whole within one iteration.
+
 Anything that changes these facts mid-campaign (fault injection,
 snapshot restore, a trap) makes the next guard pass fail, so execution
 falls back to the interpreter at a step boundary with bit-identical
@@ -58,10 +76,16 @@ state.
 from __future__ import annotations
 
 import os
+import weakref
 from typing import Dict, Optional, Tuple, Union
 
 from repro.iu.pipeline import HaltReason
-from repro.jit.blocks import CompiledBlock, build_block
+from repro.jit.blocks import (
+    MAX_BLOCK_INSTRUCTIONS,
+    CompiledBlock,
+    bind_checked,
+    build_block,
+)
 from repro.mem.writeprotect import WpMode
 from repro.peripherals.dma import _STATUS_BUSY
 from repro.peripherals.irqctrl import _LEVEL_MASK
@@ -86,7 +110,11 @@ class JitEngine:
     *performance*, never its architecture)."""
 
     def __init__(self, system) -> None:
-        self.system = system
+        # Weak, so a finished run's system is freed by refcount: the
+        # system owns its engine, not the other way round.
+        self._system = weakref.ref(system)
+        self._config_key = repr(system.config)
+        self._perf = system.perf
         iu = system.iu
         self.iu = iu
         #: pc -> CompiledBlock, or False for PCs proven uncompilable.
@@ -128,6 +156,7 @@ class JitEngine:
             "bursts": 0, "burst_instructions": 0, "burst_steps": 0,
             "deopts": 0, "compiles": 0, "compile_failures": 0,
             "verify_drops": 0, "suspect_rejects": 0,
+            "refills": 0, "checked_entries": 0, "code_cache_hits": 0,
         }
 
     def invalidate(self) -> None:
@@ -168,18 +197,23 @@ class JitEngine:
         if block is None:
             counts = self.counts
             seen = counts.get(pc, 0) + 1
-            if seen < HOT_THRESHOLD:
+            # Near the end of a run's budget no block could run, and the
+            # steps the interpreter takes there would each compile a hot
+            # pc in turn: wait for a visit that can use the code.
+            if seen < HOT_THRESHOLD or budget < MAX_BLOCK_INSTRUCTIONS:
                 if len(counts) >= MAX_COUNTERS:
                     counts.clear()
                 counts[pc] = seen
                 return None
             counts.pop(pc, None)
-            built = build_block(self.system, pc)
+            built = build_block(self._system(), pc, self._config_key)
             if built is None:
                 self.stats["compile_failures"] += 1
                 self.blocks[pc] = False
                 return None
             self.stats["compiles"] += 1
+            if built.cached:
+                self.stats["code_cache_hits"] += 1
             self.blocks[pc] = built
             block = built
         elif block is False:
@@ -192,8 +226,8 @@ class JitEngine:
         iu = self.iu
         if iu.halted is not HaltReason.RUNNING or iu.power_down:
             return None
-        system = self.system
-        if system._ffbank_dirty or self._sysregs.power_down_requested:
+        if self._system()._ffbank_dirty \
+                or self._sysregs.power_down_requested:
             return None
         for reg in self._guard_regs:
             if reg._dirty:
@@ -242,22 +276,39 @@ class JitEngine:
                 if (reg if reg < 8 else 8 + (cw + reg - 8) % nw16) in suspect:
                     self.stats["suspect_rejects"] += 1
                     return None
+        resident = True
         ipeek = icache.peek_word
         for addr, word in block.verify:
-            if ipeek(addr) != word:
-                self.stats["verify_drops"] += 1
-                del self.blocks[pc]
-                return None
+            cached = ipeek(addr)
+            if cached != word:
+                if cached is not None:
+                    self.stats["verify_drops"] += 1
+                    del self.blocks[pc]
+                    return None
+                resident = False
 
-        _xpc, n_i, n_s, deopt = block.fn(budget)
+        stats = self.stats
+        if resident:
+            xpc, n_i, n_s, deopt = block.fn(budget)
+        else:
+            fn = block.checked or bind_checked(self._system(), block)
+            stats["checked_entries"] += 1
+            perf = self._perf
+            misses = perf.icache_misses
+            xpc, n_i, n_s, deopt = fn(budget)
+            stats["refills"] += perf.icache_misses - misses
         if deopt:
-            self.stats["deopts"] += 1
+            stats["deopts"] += 1
+        elif xpc not in self.blocks:
+            # Chain priming: the block this burst ran into is hot too,
+            # so a loop is compiled whole within one iteration.
+            self.counts[xpc] = HOT_THRESHOLD
         if n_s == 0:
             # Deopt at the first covered instruction: nothing retired,
             # nothing written; interpret it (no livelock, the
             # interpreter always makes progress).
             return None
-        self.stats["bursts"] += 1
-        self.stats["burst_instructions"] += n_i
-        self.stats["burst_steps"] += n_s
+        stats["bursts"] += 1
+        stats["burst_instructions"] += n_i
+        stats["burst_steps"] += n_s
         return n_i, n_s

@@ -96,6 +96,11 @@ class MemoryBank(AhbSlave):
         self.memory.write_word(offset, merged)
         return BusResult(cycles=1 + self.waitstates, corrected=current.corrected)
 
+    def burst_cycles(self, nwords: int) -> int:
+        """Bus cycles of an ``nwords`` burst: :meth:`ahb_read_burst`
+        charges the wait states on the first beat only."""
+        return self.waitstates + nwords
+
     def ahb_read_burst(self, address: int, nwords: int) -> List[BusResult]:
         offset = (address - self.base) & ~3
         results = []

@@ -9,7 +9,7 @@ enabled; without EDAC the check plane is unused.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -61,6 +61,20 @@ class ExternalMemory:
         """The stored (data, check) pair at a word-aligned offset."""
         index = self._index(address)
         return int(self._words[index]), int(self._check[index])
+
+    def clean_words(self, address: int, count: int) -> Optional[List[int]]:
+        """The ``count`` stored words from word-aligned ``address`` when
+        every one would pass the EDAC unchanged (check bits consistent;
+        always so with EDAC off), else None.  Changes nothing: a word
+        the EDAC would correct or reject is left for the read path."""
+        index = address >> 2
+        words = self._words[index:index + count].tolist()
+        if self.edac:
+            checks = self._check[index:index + count].tolist()
+            for data, check in zip(words, checks):
+                if bch_encode(data) != check:
+                    return None
+        return words
 
     def write_word(self, address: int, value: int) -> None:
         """Store a word, regenerating its check bits."""

@@ -232,3 +232,80 @@ class TestSubblocking:
         assert not dcache.read(SRAM, TransferSize.WORD).hit
         # Other words of the line stay valid.
         assert dcache.read(SRAM + 4, TransferSize.WORD).hit
+
+
+def _cache_state(bus, cache, errors, perf):
+    return (bus.capture(), cache.capture(), errors.capture(), perf.capture())
+
+
+class TestCleanRefill:
+    """The clean-line refill shared by the interpreter and the JIT has
+    exactly the effects of the bus-burst refill it short-cuts."""
+
+    @pytest.mark.parametrize("line", [8, 16, 32])
+    @pytest.mark.parametrize("kind", ["i", "d"])
+    @pytest.mark.parametrize("address", [SRAM + 0x124, 0x48])
+    @pytest.mark.parametrize("tag_error", [False, True])
+    def test_matches_bus_burst(self, monkeypatch, line, kind, address,
+                               tag_error):
+        outcomes = []
+        for burst in (False, True):
+            bus, controller, icache, dcache, errors, perf = make_system(
+                line=line, size=64)
+            cache = icache if kind == "i" else dcache
+            for word in range(0, 64, 4):
+                bus.write(address - 32 + word, 0x1000 + word)
+            cache.lookup(address ^ 0x40)  # same index, other tag
+            if tag_error:
+                cache.tag_ram.inject(cache._index(address), 2)
+            if burst:
+                monkeypatch.setattr(cache, "_clean_line", lambda a: None)
+            access = cache.lookup(address)
+            outcomes.append((access, _cache_state(bus, cache, errors, perf)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0].data == 0x1020 and not outcomes[0][0].hit
+
+    def test_clean_refill_equals_lookup_miss(self):
+        states = []
+        for jit in (False, True):
+            bus, controller, icache, dcache, errors, perf = make_system()
+            bus.write(SRAM + 0x30, 0xCAFE)
+            if jit:
+                assert icache.clean_refill(SRAM + 0x30, 0xCAFE) == 1 + 4
+            else:
+                assert icache.fetch(SRAM + 0x30).cycles == 1 + 4
+            states.append(_cache_state(bus, icache, errors, perf))
+        assert states[0] == states[1]
+
+    def _probe_refuses(self, icache, bus, errors, perf, address, word):
+        before = _cache_state(bus, icache, errors, perf)
+        assert icache.refill_probe(address, word) is None
+        assert icache.clean_refill(address, word) is None
+        assert _cache_state(bus, icache, errors, perf) == before
+
+    def test_probe_accepts_only_a_clean_plain_miss(self):
+        bus, controller, icache, dcache, errors, perf = make_system()
+        bus.write(SRAM + 0x40, 0x1234)
+        assert icache.refill_probe(SRAM + 0x40, 0x1234) is not None
+        # The word at that address differs from the compiled one.
+        self._probe_refuses(icache, bus, errors, perf, SRAM + 0x40, 0x1235)
+        # Resident: a hit, not a miss (even when its data is suspect).
+        icache.lookup(SRAM + 0x40)
+        self._probe_refuses(icache, bus, errors, perf, SRAM + 0x40, 0x1234)
+        icache.data_ram.inject(icache._index(SRAM + 0x40) * 4, 1)
+        self._probe_refuses(icache, bus, errors, perf, SRAM + 0x40, 0x1234)
+        # A suspect tag is a parity-forced miss, not a plain one.
+        icache.flush()
+        icache.tag_ram.inject(icache._index(SRAM + 0x40), 3)
+        self._probe_refuses(icache, bus, errors, perf, SRAM + 0x40, 0x1234)
+        # Not a memory bank (APB space).
+        self._probe_refuses(icache, bus, errors, perf, 0x80000000, 0)
+
+    @pytest.mark.parametrize("bits", [(4,), (4, 7), (35,)])
+    def test_probe_refuses_an_edac_error_anywhere_in_the_line(self, bits):
+        bus, controller, icache, dcache, errors, perf = make_system()
+        bus.write(SRAM + 0x50, 0x77)
+        for bit in bits:
+            controller.sram_memory.inject(0x5C, bit)  # the line's last word
+        self._probe_refuses(icache, bus, errors, perf, SRAM + 0x50, 0x77)
+        assert icache.memory_word(SRAM + 0x50) is None

@@ -6,8 +6,11 @@ surface matches: architectural ``state_digest``, every performance and
 error counter, and the telemetry event stream.  The corpus covers the
 three paper programs, seeded random programs, mid-run fault strikes into
 cells covered by compiled blocks, latent strikes outside every block's
-footprint (which must not keep the JIT off), stuck-at reasserts, and
-the snapshot/restore and stop-pc edges of ``run_fast``.
+footprint (which must not keep the JIT off), stuck-at reasserts, the
+snapshot/restore and stop-pc edges of ``run_fast``, and the i-cache
+miss path: small caches and periodic flushes, where compiled bursts
+refill lines themselves, with strikes, EDAC errors, rewritten code and
+annulled slots at the line boundaries the refills cross.
 """
 
 import dataclasses
@@ -42,14 +45,15 @@ def _boot(builder, config, jit):
 
 def _observables(system, sink):
     return (system.state_digest(), system.perf.capture(),
-            system.errors.capture(), sink.events)
+            system.errors.capture(), system.bus.capture(), sink.events)
 
 
 def _assert_pair_equal(interp, jit_sys):
-    (d0, p0, e0, t0), (d1, p1, e1, t1) = interp, jit_sys
+    (d0, p0, e0, b0, t0), (d1, p1, e1, b1, t1) = interp, jit_sys
     assert d1 == d0
     assert p1 == p0
     assert e1 == e0
+    assert b1 == b0
     assert t1 == t0
 
 
@@ -438,3 +442,293 @@ def test_word_store_into_suspect_dcache_tag():
     bursts = stats["bursts"]
     _run_pair(pair)
     assert stats["bursts"] > bursts
+
+
+# -- the i-cache miss path -----------------------------------------------------
+
+#: Instructions between the periodic cache flushes of the miss corpus.
+FLUSH_PERIOD = 4_000
+
+
+def _small(config, size):
+    """``config`` with both caches shrunk to ``size`` bytes, parity kept
+    (None: unchanged)."""
+    if size is None:
+        return config
+    return config.with_changes(
+        icache=dataclasses.replace(config.icache, size_bytes=size),
+        dcache=dataclasses.replace(config.dcache, size_bytes=size))
+
+
+def _pair(builder, config):
+    return [_boot(builder, config, jit) for jit in (False, True)]
+
+
+def _run_flushed(pair, total, period=FLUSH_PERIOD):
+    """Run in flush-period chunks, flushing both caches of both systems
+    after each as a campaign's periodic flush does, comparing always."""
+    for _ in range(total // period):
+        _run_pair(pair, period)
+        for system, _sink in pair:
+            system.icache.flush()
+            system.dcache.flush()
+        _run_pair(pair, 0)
+
+
+_MISS_PROGRAMS = {
+    "random7": (lambda c: build_random(c, seed=7, iterations=1_000_000),
+                LeonConfig.fault_tolerant),
+    "random123": (lambda c: build_random(c, seed=123, iterations=1_000_000),
+                  LeonConfig.fault_tolerant),
+    "iutest": (lambda c: build_iutest(c, iterations=1_000_000),
+               LeonConfig.fault_tolerant),
+    "paranoia": (lambda c: build_paranoia(c, iterations=1_000_000),
+                 LeonConfig.leon_express),
+}
+
+
+@pytest.mark.parametrize("size", [64, 128, 256, None])
+@pytest.mark.parametrize("program", sorted(_MISS_PROGRAMS))
+def test_miss_path_equivalence(program, size):
+    """Compiled refills -- every fetch on a small cache, every hot block
+    after a flush on the default one -- are byte-identical to the
+    interpreter's misses, down to the bus accounting."""
+    builder, device = _MISS_PROGRAMS[program]
+    pair = _pair(builder, _small(device(), size))
+    _run_flushed(pair, 6 * FLUSH_PERIOD)
+    stats = pair[1][0].jit.stats
+    assert stats["checked_entries"] > 0 and stats["refills"] > 0, stats
+
+
+def _random7_small():
+    pair = _pair(_MISS_PROGRAMS["random7"][0],
+                 _small(LeonConfig.fault_tolerant(), 64))
+    _run_pair(pair, 8_000)
+    stats = pair[1][0].jit.stats
+    assert stats["refills"] > 0
+    return pair, stats
+
+
+def test_icache_strikes_in_lines_about_to_refill():
+    """On a 64-byte i-cache every line of the loop is refilled each
+    pass: a struck tag must refuse the compiled refill (the interpreter
+    counts the parity error), a struck data word is either detected or
+    overwritten by the refill, identically in both tiers."""
+    pair, stats = _random7_small()
+    icache = pair[0][0].icache
+    for index in range(icache.lines):
+        _strike(pair, "icache-tag", index, bit=index)
+        _run_pair(pair, 1_000)
+        word = index * icache.words_per_line + index % icache.words_per_line
+        _strike(pair, "icache-data", word, bit=3)
+        _run_pair(pair, 1_000)
+    assert pair[0][0].errors.ite > 0
+    bursts = stats["bursts"]
+    _run_pair(pair, 2_000)
+    assert stats["bursts"] > bursts
+
+
+def _unresident_block_word(system):
+    """A word of a compiled loop block that is not in the i-cache now."""
+    for block in system.jit.blocks.values():
+        if block is False:
+            continue
+        for addr, _word in block.verify:
+            if system.icache.peek_word(addr) is None:
+                return addr
+    raise AssertionError("every block word is resident")
+
+
+@pytest.mark.parametrize("bits", [(5,), (5, 9)], ids=["correctable",
+                                                     "uncorrectable"])
+def test_edac_error_in_code_line(bits):
+    """An SRAM word of a block's next refill is struck: the probe must
+    refuse the line, so the interpreter corrects it (one bit) or takes
+    the instruction access error trap (two bits)."""
+    pair, _stats = _random7_small()
+    compiled = pair[1][0]
+    addr = _unresident_block_word(compiled)
+    offset = addr - compiled.config.memory.sram_base
+    for system, _sink in pair:
+        for bit in bits:
+            system.memctrl.sram_memory.inject(offset, bit)
+    _run_pair(pair, 3_000)
+    interp = pair[0][0]
+    if len(bits) == 1:
+        assert interp.errors.edac_corrected >= 1
+    else:
+        assert interp.errors.memory_error_traps >= 1
+
+
+#: A loop whose ``patch`` word it rewrites every pass (``add %l1, 1``
+#: <-> ``add %l1, 2``): stale cached code must never run compiled.
+_SELF_MODIFYING = """
+main:
+    set patch, %o0
+    mov 0, %l0
+    mov 0, %l1
+    ba loop
+    nop
+    .align 16
+loop:
+    ld [%o0], %o1
+    xor %o1, 3, %o1
+    st %o1, [%o0]
+    add %l0, 1, %l0
+    xor %l0, %l1, %l2
+    add %l2, 7, %l2
+    sll %l2, 2, %l3
+    add %l3, %l0, %l3
+patch:
+    add %l1, 1, %l1
+    add %l1, %l3, %l4
+    xor %l4, 9, %l4
+    add %l4, %l2, %l4
+    sub %l4, 1, %l5
+    add %l5, %l0, %l5
+    xor %l5, %l1, %l5
+    add %l5, 3, %l5
+    ba loop
+    add %l5, %l4, %l6
+"""
+
+
+@pytest.mark.parametrize("size", [64, None])
+def test_store_rewrites_a_word_of_a_cached_block(size):
+    """Memory under a compiled block changes: the refill probe refuses a
+    word that no longer matches, a resident stale word still runs as the
+    interpreter runs it, and a resident differing word drops the block."""
+    config = _small(LeonConfig.fault_tolerant(), size)
+    pair = _pair(lambda c: build_test_program(_SELF_MODIFYING, c), config)
+    _run_flushed(pair, 5 * FLUSH_PERIOD)
+    stats = pair[1][0].jit.stats
+    assert stats["verify_drops"] > 0 and stats["refills"] > 0, stats
+
+
+#: ``bne,a`` and ``ba,a`` at line ends, their slots at the next line's
+#: start.  The inner loop runs once or three times per outer pass, so
+#: its first, checked iteration alternates taken (slot executes) and
+#: not taken (slot annulled); 26 words thrash a 64-byte i-cache, so
+#: each slot's line is gone whenever its block is entered.
+_ANNULLED_AT_LINE_END = """
+main:
+    mov 0, %l0
+    mov 0, %l2
+    mov 0, %l7
+    ba outer
+    nop
+    .align 16
+outer:
+    xor %l7, 2, %l7
+    add %l7, 1, %l6
+    add %l0, %l6, %l0
+    add %l2, 5, %l2
+inner:
+    add %l0, 3, %l0
+    xor %l0, %l6, %l1
+    subcc %l6, 1, %l6
+    bne,a inner
+    add %l1, %l0, %l2
+    add %l2, 1, %l2
+    xor %l2, %l0, %l3
+    add %l3, 9, %l3
+    sll %l3, 1, %l4
+    add %l4, %l2, %l4
+    xor %l4, 0x55, %l4
+    add %l4, %l0, %l5
+    sub %l5, 2, %l5
+    xor %l5, %l3, %l5
+    add %l5, %l1, %l5
+    srl %l5, 3, %l1
+    add %l1, %l4, %l1
+    xor %l1, %l2, %l2
+    add %l2, %l7, %l2
+back:
+    ba,a outer
+    add %l0, 7, %l0
+"""
+
+
+def test_annulled_delay_slot_on_a_line_boundary():
+    config = _small(LeonConfig.fault_tolerant(), 64)
+    program = build_test_program(_ANNULLED_AT_LINE_END, config)
+    for label, offset in (("outer", 0), ("inner", 0), ("back", 12)):
+        assert program.symbols[label] % 16 == offset
+    pair = _pair(lambda c: program, config)
+    _run_pair(pair, 20_000)
+    stats = pair[1][0].jit.stats
+    assert stats["checked_entries"] > 0 and stats["refills"] > 0, stats
+    _run_flushed(pair, 3 * FLUSH_PERIOD)
+    # Slots whose line cannot be refilled cleanly: the ender must deopt
+    # before fetching anything, leaving the slot to the interpreter.
+    sram = config.memory.sram_base
+    slots = (program.symbols["inner"] + 16, program.symbols["back"] + 4)
+    for round_ in range(3):
+        for slot in slots:
+            for system, _sink in pair:
+                system.memctrl.sram_memory.inject(slot - sram, round_)
+            _run_pair(pair, 300)
+            _strike(pair, "icache-tag", pair[0][0].icache._index(slot),
+                    bit=round_)
+            _run_pair(pair, 300)
+    interp = pair[0][0]
+    assert interp.errors.edac_corrected > 0 and interp.errors.ite > 0
+
+
+#: A load, a store and a ``retl`` (JMPL) each at the start of a line:
+#: none may refill in compiled code, because it could still deopt after
+#: the fetch.  The load alternates between two d-cache lines that evict
+#: each other (a d-cache miss deopts it), the store between SRAM and
+#: I/O space (a store outside SRAM deopts it); 26 loop words thrash a
+#: 64-byte i-cache.
+_MEMORY_AT_LINE_START = """
+main:
+    set DATA, %o0
+    set DATA, %o2
+    set 0x20000100, %o5
+    xor %o5, %o2, %o5
+    mov 0, %l0
+    ba loop
+    nop
+    .align 16
+loop:
+    add %l0, 1, %l0
+    xor %l0, 5, %l1
+    add %l1, %l0, %l2
+    xor %o0, 64, %o0
+    ld [%o0], %l4
+    add %l4, %l2, %l4
+    xor %o2, %o5, %o2
+    add %l4, 1, %l4
+    st %l4, [%o2]
+    add %l0, %l4, %l5
+    call sub
+    add %l5, 1, %l5
+    add %l5, %l2, %l5
+    xor %l5, %l1, %l3
+    add %l3, 7, %l3
+    sll %l3, 1, %l6
+    add %l6, %l5, %l6
+    xor %l6, 0x33, %l6
+    add %l6, %l0, %l1
+    sub %l1, 5, %l1
+    add %l1, %l6, %l2
+    ba loop
+    add %l3, 1, %l3
+    .align 16
+sub:
+    retl
+    add %l5, 2, %l5
+"""
+
+
+def test_load_store_and_jmpl_at_a_line_start():
+    config = _small(LeonConfig.fault_tolerant(), 64)
+    program = build_test_program(_MEMORY_AT_LINE_START, config)
+    assert program.symbols["loop"] % 16 == 0
+    assert program.symbols["sub"] % 16 == 0
+    pair = _pair(lambda c: program, config)
+    _run_pair(pair, 20_000)
+    stats = pair[1][0].jit.stats
+    assert stats["checked_entries"] > 0 and stats["deopts"] > 0, stats
+    _run_flushed(pair, 3 * FLUSH_PERIOD)
