@@ -13,8 +13,9 @@ acceptance invariants directly:
     the direct run (the service's query layer is the same math);
   * two submitters racing on separate threads both reach ``done`` and
     each campaign holds exactly its own runs (jobs-invariance);
-  * ``/api/diff`` between the HTTP campaign and an ingested copy of the
-    direct run reports zero changed runs.
+  * ``/api/diff`` between the HTTP campaign and the direct run -- stored
+    once through ``add_results`` and once imported from a JSONL result
+    log with ``ingest_results`` -- reports zero changed runs.
 
 Exit code 1 on any violation.
 
@@ -29,7 +30,7 @@ import threading
 import urllib.request
 
 from repro.fault.executor import CampaignExecutor
-from repro.fault.results import ResultStore, config_key
+from repro.fault.results import config_key, result_to_dict
 from repro.service.api import build_job_request, make_server
 from repro.store import curve_from_results
 
@@ -101,22 +102,27 @@ def main() -> int:
             print("FAIL: Table-2 fold covers the wrong run count")
             failed = True
 
-        # Diff against an ingested JSONL copy of the direct run.
+        # Diff against the direct run, stored directly and imported from
+        # a JSONL result log (the import path old logs migrate through).
+        server.db.add_results(server.db.ensure_campaign("direct-copy"),
+                              direct)
         handle, jsonl = tempfile.mkstemp(suffix=".jsonl", prefix="smoke-")
-        os.close(handle)
+        with os.fdopen(handle, "w", encoding="utf-8") as log:
+            for result in direct:
+                log.write(json.dumps(result_to_dict(result),
+                                     sort_keys=True) + "\n")
         try:
-            with ResultStore(jsonl) as store:
-                store.append(direct)
-            server.db.ingest_results(jsonl, name="direct-copy")
+            server.db.ingest_results(jsonl, name="direct-jsonl")
         finally:
             os.unlink(jsonl)
-        diff = call(server.url + "/api/diff?a=http-smoke&b=direct-copy")
-        if diff["changed"] or diff["matched"] != len(configs):
-            print(f"FAIL: diff vs direct copy not clean: {diff}")
-            failed = True
-        else:
-            print(f"diff vs ingested direct copy clean "
-                  f"({diff['matched']} matched): OK")
+        for copy in ("direct-copy", "direct-jsonl"):
+            diff = call(server.url + f"/api/diff?a=http-smoke&b={copy}")
+            if diff["changed"] or diff["matched"] != len(configs):
+                print(f"FAIL: diff vs {copy} not clean: {diff}")
+                failed = True
+            else:
+                print(f"diff vs {copy} clean "
+                      f"({diff['matched']} matched): OK")
 
         # Two submitters racing: both complete, campaigns stay disjoint.
         jobs = {}

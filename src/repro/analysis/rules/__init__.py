@@ -7,9 +7,8 @@ from repro.analysis.rules import (
     faults,
     jit,
     state,
-    storage,
     telemetry,
 )
 
 __all__ = ["ace", "counters", "determinism", "faults", "jit", "state",
-           "storage", "telemetry"]
+           "telemetry"]

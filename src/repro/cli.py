@@ -22,21 +22,24 @@ Subcommands:
                  recovery downtime
     info         describe the simulated device configuration
     serve        campaign service: job queue, HTTP API and dashboard
-    ingest       import JSONL result logs / traces into the campaign
-                 database the service answers from
+    ingest       import JSONL result logs / traces into a campaign
+                 database
 
 ``campaign`` and ``sweep`` accept ``--jobs N`` to fan independent runs
 across N worker processes; results are identical to ``--jobs 1``.  With
 ``--warm-start`` (and a ``--beam-delay`` prefix) the fault-free warm-up is
 executed once and every run restores from the shared snapshot -- results
-are still bit-for-bit identical.  ``campaign --results FILE`` appends each
-completed run to a crash-safe JSONL log; ``campaign --resume FILE`` reloads
-it and re-runs only what is missing.
+are still bit-for-bit identical.  ``campaign --results FILE`` (and
+``attack --results FILE``) stores each completed batch of runs in the
+campaign database FILE, in the campaign named after the file stem, and
+skips every run already stored there -- so re-running an interrupted
+command resumes it.
 
 ``campaign --recovery <policy>`` arms a system-level recovery ladder
 (pipeline restart, cache flush, watchdog-triggered warm reset, cold
 reboot) so runs survive error-mode halts; ``availability --measured FILE``
-folds the recorded downtime back into the orbital availability estimate.
+folds the downtime stored in a ``--results`` database back into the
+orbital availability estimate.
 
 ``campaign --trace FILE`` records every run's SEU lifecycle events
 (strike -> detection -> resolution) plus phase timers to a crash-safe
@@ -47,14 +50,17 @@ byte-identical with tracing on or off.
 ``serve`` runs the campaign service: POST a campaign spec to
 ``/api/jobs``, poll the job id, read Table-2 folds / cross-section
 curves / availability / diffs back over HTTP -- numbers byte-identical
-to the CLI's, because both sit on the same :mod:`repro.store` query
-layer.  ``ingest`` imports existing JSONL logs into the service's
-database idempotently.
+to the CLI's, because both sit on the same :mod:`repro.store` database
+and query layer.  ``ingest`` imports JSONL result logs (the CLI's format
+before the database) and telemetry traces into a database idempotently.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
+import os
 import sys
 import time
 from typing import List, Optional
@@ -90,12 +96,13 @@ from repro.fault.report import (
 )
 from repro.fault.models import classify_outcome, model_names, security_fold
 from repro.fault.rates import ENVIRONMENTS, RatePredictor
-from repro.fault.results import ResultStore, config_key
+from repro.fault.results import config_key
 from repro.iu.pipetrace import PipelineTracer
 from repro.recovery import POLICIES
 from repro.sparc.asm import assemble
 from repro.state.snapshot import Snapshot
-from repro.store import load_results, split_pending
+from repro.store import CampaignDatabase
+from repro.store.db import file_stem
 from repro.telemetry import (
     JsonlTraceSink,
     fold_stats,
@@ -183,10 +190,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                "executed oracle path; results are "
                                "identical)")
     campaign.add_argument("--results", metavar="FILE", default=None,
-                          help="append completed runs to a JSONL result log")
-    campaign.add_argument("--resume", metavar="FILE", default=None,
-                          help="reload a JSONL result log, run only the "
-                               "missing seeds, append them to it")
+                          help="store completed runs in the campaign "
+                               "database FILE (campaign named after the "
+                               "file stem), skipping runs already there")
     campaign.add_argument("--recovery", choices=sorted(POLICIES),
                           default="none",
                           help="system-level recovery policy: keep running "
@@ -195,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--device", choices=sorted(_CONFIGS),
                           default="express",
                           help="device configuration (default: express; "
-                               "--results/--resume require express)")
+                               "--results requires express)")
     campaign.add_argument("--trace", metavar="FILE", default=None,
                           help="record per-upset lifecycle events and "
                                "phase timers to a JSONL telemetry trace "
@@ -236,7 +242,9 @@ def _build_parser() -> argparse.ArgumentParser:
     attack.add_argument("--recovery", choices=sorted(POLICIES),
                         default="none")
     attack.add_argument("--results", metavar="FILE", default=None,
-                        help="append completed runs to a JSONL result log")
+                        help="store completed runs in the campaign "
+                             "database FILE (campaign named after the "
+                             "file stem), skipping runs already there")
 
     trace = subparsers.add_parser(
         "trace", help="pretty-print a campaign telemetry trace")
@@ -336,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="GEO", help="orbital environment "
                                            "(default: GEO)")
     avail.add_argument("--measured", metavar="FILE", default=None,
-                       help="JSONL result log of a campaign run with "
+                       help="--results database of a campaign run with "
                             "--recovery; replaces the analytic outage "
                             "constant with the measured mean outage")
     avail.add_argument("--clock-hz", type=float, default=DEFAULT_CLOCK_HZ,
@@ -362,8 +370,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "ingest", help="import JSONL result logs / telemetry traces "
                        "into the campaign database")
     ingest.add_argument("files", nargs="+",
-                        help="JSONL files written by campaign "
-                             "--results / --trace")
+                        help="JSONL result logs (one result object per "
+                             "line) or campaign --trace files")
     ingest.add_argument("--db", default="campaigns.db", metavar="FILE",
                         help="campaign database (default: campaigns.db)")
     ingest.add_argument("--name", default=None,
@@ -417,14 +425,45 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if result.stop_reason != "halted" else 1
 
 
+@contextlib.contextmanager
+def _results_database(path: Optional[str], command: str,
+                      configs: List[CampaignConfig]):
+    """Open ``--results FILE``: yields (stored, pending, store).
+
+    *stored* maps the config keys already in the database to their
+    results, *pending* lists the configs still to run, and *store*
+    writes one batch of results in one transaction (None without a
+    FILE).  The campaign inside FILE is named after the file stem, so
+    re-running an interrupted command resumes it.
+    """
+    if path is None:
+        yield {}, configs, None
+        return
+    with CampaignDatabase(path) as db:
+        campaign = db.ensure_campaign(file_stem(path), source=command)
+        stored, pending = db.split_pending(campaign, configs)
+        if stored:
+            print(f"resume: {len(stored)} of {len(configs)} run(s) already "
+                  f"in {path}")
+        yield stored, pending, functools.partial(db.add_results, campaign)
+
+
+def _in_config_order(configs, stored, pending, fresh):
+    """Stored and freshly run results, merged back into config order."""
+    if not stored:
+        return fresh  # already in order; custom-device configs have no key
+    by_key = dict(stored)
+    by_key.update(zip(map(config_key, pending), fresh))
+    return [by_key[config_key(config)] for config in configs]
+
+
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    store_path = args.resume or args.results
-    if args.device != "express" and store_path:
-        print("error: --results/--resume store only the default (express) "
-              "device; drop --device or the store option", file=sys.stderr)
+    if args.device != "express" and args.results:
+        print("error: --results stores only the default (express) "
+              "device; drop --device or --results", file=sys.stderr)
         return 2
-    # "express" maps to leon=None (the campaign default) so result-store
-    # keys stay identical to pre---device logs.
+    # "express" maps to leon=None (the campaign default) so stored
+    # config keys stay identical to pre---device runs.
     leon = None if args.device == "express" else _CONFIGS[args.device]()
     config = CampaignConfig(
         program=args.program, let=args.let, flux=args.flux,
@@ -439,56 +478,39 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     )
     configs = expand_runs(config, args.runs)
 
-    store = done = None
-    pending = configs
-    if store_path:
-        store = ResultStore(store_path)
-    if args.resume:
-        done, pending = split_pending(args.resume, configs)
-        if done:
-            print(f"resume: {len(done)} of {len(configs)} run(s) already "
-                  f"in {args.resume}")
+    with _results_database(args.results, "campaign", configs) as (
+            stored, pending, store):
+        trace_sink = JsonlTraceSink(args.trace) if args.trace else None
+        runner = (run_campaign_traced if trace_sink is not None
+                  else run_campaign)
+        next_run_index = 0
 
-    trace_sink = JsonlTraceSink(args.trace) if args.trace else None
-    runner = run_campaign_traced if trace_sink is not None else run_campaign
-    next_run_index = 0
+        def on_results(batch):
+            # The executor delivers batches in config order (both paths),
+            # so run indices -- and the trace file -- are jobs-invariant.
+            nonlocal next_run_index
+            if store is not None:
+                store(batch)
+            if trace_sink is not None:
+                for result in batch:
+                    trace_sink.write_run(result.trace or [],
+                                         run=next_run_index)
+                    next_run_index += 1
 
-    def on_results(batch):
-        # The executor delivers batches in config order (both paths), so
-        # run indices -- and the trace file -- are jobs-invariant.
-        nonlocal next_run_index
-        if store is not None:
-            store.append(batch)
-        if trace_sink is not None:
-            for result in batch:
-                trace_sink.write_run(result.trace or [], run=next_run_index)
-                next_run_index += 1
+        started = time.perf_counter()
+        warm = None
+        if args.warm_start and pending:
+            warm = prepare_warm_start(config)
+        try:
+            fresh = CampaignExecutor(args.jobs, runner=runner).run_many(
+                pending, warm=warm, batch=not args.no_early_exit,
+                on_results=on_results)
+        finally:
+            if trace_sink is not None:
+                trace_sink.close()
+        elapsed = time.perf_counter() - started
 
-    started = time.perf_counter()
-    warm = None
-    if args.warm_start and pending:
-        warm = prepare_warm_start(config)
-    try:
-        fresh = (CampaignExecutor(args.jobs, runner=runner).run_many(
-            pending, warm=warm, batch=not args.no_early_exit,
-            on_results=on_results) if pending else [])
-    finally:
-        if store is not None:
-            store.close()
-        if trace_sink is not None:
-            trace_sink.close()
-    elapsed = time.perf_counter() - started
-
-    if done:
-        # Explicit None check: a stored result is a hit even if falsy.
-        fresh_iter = iter(fresh)
-        results = []
-        for cfg in configs:
-            stored = done.get(config_key(cfg))
-            results.append(stored if stored is not None
-                           else next(fresh_iter))
-    else:
-        results = fresh
+    results = _in_config_order(configs, stored, pending, fresh)
     print(render_table2(results))
     if args.recovery != "none":
         print()
@@ -570,13 +592,11 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         fault_params=fault_params,
     )
     configs = expand_runs(config, args.runs)
-    store = ResultStore(args.results) if args.results else None
-    try:
-        results = CampaignExecutor(args.jobs).run_many(
-            configs, on_results=(store.append if store else None))
-    finally:
-        if store is not None:
-            store.close()
+    with _results_database(args.results, "attack", configs) as (
+            stored, pending, store):
+        fresh = CampaignExecutor(args.jobs).run_many(pending,
+                                                     on_results=store)
+    results = _in_config_order(configs, stored, pending, fresh)
     print(f"{model} attack on {args.program} at {pc:#010x}"
           + (f" (window {args.window} words)" if args.window > 1 else ""))
     print()
@@ -706,6 +726,20 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     return 0
 
 
+def _stored_results(path: str):
+    """The results of the campaign named after *path*'s stem in the
+    database *path*; empty when either does not exist.  Creates no
+    file."""
+    if not os.path.exists(path):
+        return []
+    with CampaignDatabase(path) as db:
+        name = file_stem(path)
+        for row in db.campaigns():
+            if row["name"] == name:
+                return db.results(int(row["id"]))
+    return []
+
+
 def _cmd_availability(args: argparse.Namespace) -> int:
     estimates = compare_schemes(args.environment)
     rows = []
@@ -725,7 +759,7 @@ def _cmd_availability(args: argparse.Namespace) -> int:
     if not args.measured:
         return 0
 
-    results = load_results(args.measured)
+    results = _stored_results(args.measured)
     if not results:
         print(f"\nno results in {args.measured}", file=sys.stderr)
         return 1
@@ -815,19 +849,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    from repro.store import CampaignDatabase
-
-    import os
-
     status = 0
     with CampaignDatabase(args.db) as db:
         for path in args.files:
             try:
-                # The JSONL readers tolerate a missing file (a resume
-                # convenience); an ingest of one is a typo, not a
-                # campaign.
-                if not os.path.isfile(path):
-                    raise OSError("no such file")
                 if args.trace:
                     campaign, count = db.ingest_trace(path, name=args.name)
                     unit = "event(s)"
@@ -835,7 +860,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
                     campaign, count = db.ingest_results(path, name=args.name)
                     unit = "run(s)"
             except (OSError, ConfigurationError) as exc:
-                print(f"error: {path}: {exc}", file=sys.stderr)
+                print(f"error: {exc}", file=sys.stderr)
                 status = 1
                 continue
             name = next(row["name"] for row in db.campaigns()
@@ -907,7 +932,11 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

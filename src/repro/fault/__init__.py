@@ -42,7 +42,7 @@ from repro.fault.executor import (
     run_campaign,
 )
 from repro.fault.injector import FaultInjector, SeuTarget
-from repro.fault.results import ResultStore, config_key
+from repro.fault.results import config_key
 
 __all__ = [
     "BeamParameters",
@@ -56,7 +56,6 @@ __all__ = [
     "GoldenCheckpoint",
     "GoldenTimeline",
     "HeavyIonBeam",
-    "ResultStore",
     "SeuTarget",
     "StrikeBatch",
     "WarmStart",

@@ -204,7 +204,7 @@ class CampaignResult:
     #: (None for full runs and pre-grading logs).
     graded_at_instruction: Optional[int] = None
     #: Telemetry events of the run (traced executor runs only; never
-    #: serialized to the ResultStore -- traces have their own sink).
+    #: serialized with the result row -- traces have their own sink).
     trace: Optional[list] = None
 
     @property

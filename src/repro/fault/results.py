@@ -1,26 +1,21 @@
-"""Crash-safe campaign result store: append-only JSONL with resume.
-
-DAVOS-style campaign tooling treats the result log as first-class
-infrastructure: a long campaign that dies at run 900 of 1000 must not
-recompute the first 900.  :class:`ResultStore` appends one JSON line per
-completed run as the executor collects it (``campaign --results``), and
-``campaign --resume`` reloads the file, skips every config whose key is
-already present, and runs only the remainder.
+"""Campaign result serialization: run identity and the stored row format.
 
 A run is keyed by the fields that determine its outcome (program, beam
 setting, seed, timeline) -- :func:`config_key`.  Runs are pure functions of
-their config, so a stored result is exactly what re-running would produce.
+their config, so a stored result is exactly what re-running would produce;
+the campaign database (:class:`repro.store.CampaignDatabase`) keys its
+rows by this string, which is what lets ``campaign --results`` skip every
+run already stored.
 
+:func:`result_to_dict` / :func:`result_from_dict` are the row payload --
+also the line format of the JSONL result logs ``repro ingest`` imports.
 The device configuration (``CampaignConfig.leon``) is not serialized; the
-store covers campaigns on the default device.  A truncated final line --
-the signature of a crash mid-append -- is skipped on load.
+store covers campaigns on the default device.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from typing import Dict, Iterable, List, Optional, TextIO
 
 from repro.errors import ConfigurationError
 from repro.fault.campaign import CampaignConfig, CampaignResult
@@ -38,8 +33,8 @@ def config_key(config: CampaignConfig) -> str:
     """Stable identity of one run, as a canonical JSON string."""
     if config.leon is not None:
         raise ConfigurationError(
-            "the JSONL result store only supports the default device "
-            "configuration (CampaignConfig.leon is set)")
+            "the campaign database only stores runs on the default "
+            "device configuration (CampaignConfig.leon is set)")
     payload = {name: getattr(config, name) for name in _CONFIG_FIELDS}
     payload["program_kwargs"] = dict(sorted(config.program_kwargs.items()))
     # Fault-model fields serialize only when non-default, so every key
@@ -127,110 +122,3 @@ def result_from_dict(payload: dict) -> CampaignResult:
             "reconverged" if payload.get("effaced", False) else ""),
         graded_at_instruction=payload.get("graded_at_instruction"),
     )
-
-
-class ResultStore:
-    """Append-only JSONL store of campaign results, keyed by config.
-
-    ``append`` flushes and fsyncs per batch so a killed campaign loses at
-    most the runs of its in-flight chunk; ``load`` tolerates a truncated
-    final line.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._handle: Optional[TextIO] = None
-
-    # -- writing ---------------------------------------------------------------
-
-    def append(self, results: Iterable[CampaignResult]) -> None:
-        if self._handle is None:
-            self._trim_partial_tail()
-            self._handle = open(self.path, "a", encoding="utf-8")
-        handle = self._handle
-        for result in results:
-            handle.write(json.dumps(result_to_dict(result),
-                                    sort_keys=True) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-
-    def _trim_partial_tail(self) -> None:
-        """Drop a half-written final line before the first append.
-
-        A crash mid-append leaves the file without a trailing newline.
-        ``load`` already skips that tail, but appending after it would
-        glue the next result onto the partial line -- turning a
-        recoverable truncation into an undecodable *mid-file* line that
-        ``load`` treats as fatal.  Truncating back to the last complete
-        line keeps resume crash-safe; the dropped run re-runs (it was
-        never durably stored).
-        """
-        try:
-            size = os.path.getsize(self.path)
-        except OSError:
-            return  # no file yet: nothing to repair
-        if size == 0:
-            return
-        with open(self.path, "rb+") as handle:
-            handle.seek(-1, os.SEEK_END)
-            if handle.read(1) == b"\n":
-                return
-            handle.seek(0)
-            data = handle.read()
-            keep = data.rfind(b"\n") + 1  # 0 when no newline at all
-            handle.truncate(keep)
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "ResultStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- reading ---------------------------------------------------------------
-
-    def load(self) -> Dict[str, CampaignResult]:
-        """All stored results keyed by :func:`config_key`.
-
-        Later lines win on duplicate keys (a re-run supersedes).  Undecodable
-        lines are skipped only at the file tail (crash truncation); garbage
-        in the middle raises.
-        """
-        results: Dict[str, CampaignResult] = {}
-        if not os.path.exists(self.path):
-            return results
-        with open(self.path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-        for number, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                result = result_from_dict(json.loads(line))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                if number == len(lines) - 1:
-                    break  # crash-truncated tail: drop it and resume
-                raise ConfigurationError(
-                    f"{self.path}:{number + 1}: undecodable result line "
-                    f"({exc})") from None
-            results[config_key(result.config)] = result
-        return results
-
-    def split_pending(
-        self, configs: Iterable[CampaignConfig]
-    ) -> "tuple[Dict[str, CampaignResult], List[CampaignConfig]]":
-        """Partition configs into (already-stored results, still-to-run)."""
-        stored = self.load()
-        done: Dict[str, CampaignResult] = {}
-        pending: List[CampaignConfig] = []
-        for config in configs:
-            key = config_key(config)
-            if key in stored:
-                done[key] = stored[key]
-            else:
-                pending.append(config)
-        return done, pending

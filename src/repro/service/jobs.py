@@ -14,7 +14,7 @@ Lifecycle: ``queued -> running -> done | failed | cancelled``.  Jobs are
 persisted before they are scheduled, so a queue restarted over the same
 database re-enqueues whatever was queued or mid-flight (completed runs
 are skipped via :meth:`CampaignDatabase.split_pending` -- the same
-resume primitive the CLI's ``--resume`` uses).
+call the CLI's ``--results`` makes).
 """
 
 from __future__ import annotations

@@ -1,21 +1,14 @@
 """The storage + query layer: one corpus of runs, many readers.
 
 ROADMAP item 1 (DAVOS Datamanager/Reportbuilder mold): campaign results
-stop being throwaway per-invocation JSONL and become a shared, queryable
-corpus.  This package is the single path to that corpus:
+are a shared, queryable corpus, and SQLite is its only store.  The CLI
+(``campaign/attack --results``, ``availability --measured``), the
+campaign service and ``repro ingest`` all read and write it:
 
 ``repro.store.db``
     :class:`CampaignDatabase` -- the indexed SQLite schema (campaigns,
-    runs, upsets, events, jobs) with idempotent ingest from the JSONL
-    :class:`~repro.fault.results.ResultStore` format.
-
-``repro.store.sources``
-    Result sources -- :class:`JsonlResults` and :class:`DatabaseResults`
-    present the same ordered ``List[CampaignResult]`` view over either
-    backing store, so every query below is backend-agnostic.  The
-    module also wraps the raw JSONL reads (:func:`load_results`,
-    :func:`split_pending`) the CLI used to perform on ``ResultStore``
-    directly: lint rule FT501 keeps those reads inside this package.
+    runs, upsets, events, jobs) with idempotent import of JSONL result
+    logs and telemetry traces.
 
 ``repro.store.query``
     The query functions the CLI and the campaign service both sit on:
@@ -32,23 +25,13 @@ from repro.store.query import (
     lifecycle_rows,
     trace_stats,
 )
-from repro.store.sources import (
-    DatabaseResults,
-    JsonlResults,
-    load_results,
-    split_pending,
-)
 
 __all__ = [
     "CampaignDatabase",
-    "DatabaseResults",
-    "JsonlResults",
     "availability_readout",
     "curve_from_results",
     "diff_results",
     "fold_results",
     "lifecycle_rows",
-    "load_results",
-    "split_pending",
     "trace_stats",
 ]

@@ -4,8 +4,8 @@ DAVOS keeps every injection campaign in one queryable datamanager store;
 this is the equivalent for the simulator.  The schema:
 
 ``campaigns``
-    One row per named corpus of runs -- a service job, an ingested JSONL
-    file, or an ad-hoc insert.
+    One row per named corpus of runs -- a CLI ``--results`` file's
+    campaign, a service job, an ingested JSONL log, or an ad-hoc insert.
 ``runs``
     One row per campaign run, keyed ``(campaign_id, config_key)`` with
     the full :func:`~repro.fault.results.result_to_dict` payload plus
@@ -30,6 +30,11 @@ this is the equivalent for the simulator.  The schema:
 Results read back from the database are bit-for-bit the results that
 went in (the payload column is authoritative; the typed columns are an
 index, not a second copy of the truth).
+
+JSONL result logs -- one :func:`~repro.fault.results.result_to_dict`
+object per line, the format campaigns were logged in before this
+database existed -- survive only as an import format
+(:meth:`CampaignDatabase.ingest_results`).
 """
 
 from __future__ import annotations
@@ -131,6 +136,59 @@ CREATE TABLE IF NOT EXISTS jobs (
 """
 
 
+def file_stem(path: str) -> str:
+    """The default campaign name for a file: its base name, extension
+    dropped -- so ``runs.jsonl`` ingests into the campaign a later
+    ``campaign --results runs.db`` carries on."""
+    return os.path.splitext(os.path.basename(path))[0]
+
+
+def _not_a_database(path: str, exc: sqlite3.DatabaseError) -> str:
+    """The error for a file SQLite refuses, naming the fix when the file
+    is a JSONL result log passed where the database belongs."""
+    message = f"{path}: not a campaign database ({exc})"
+    try:
+        with open(path, "rb") as handle:
+            looks_jsonl = handle.read(64).lstrip().startswith(b"{")
+    except OSError:
+        looks_jsonl = False
+    if looks_jsonl:
+        message += (f"; it looks like a JSONL result log -- import it "
+                    f"with `repro ingest {path} --db <database>`")
+    return message
+
+
+def _read_result_log(path: str) -> List[CampaignResult]:
+    """Every result in a JSONL result log, in first-appearance order.
+
+    Later duplicate lines supersede earlier ones (a re-run wins) without
+    moving the run.  An undecodable *final* line is the signature of a
+    crash mid-append and is skipped; garbage anywhere else raises.  Rows
+    written before fast grading or recovery existed load with their
+    defaults (:func:`~repro.fault.results.result_from_dict`).
+    """
+    with open(path, "rb") as handle:
+        lines = handle.readlines()
+    if lines and lines[0].startswith(b"SQLite format 3\x00"):
+        raise ConfigurationError(
+            f"{path}: a campaign database, not a JSONL result log")
+    results: Dict[str, CampaignResult] = {}
+    for number, line in enumerate(lines):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            result = result_from_dict(json.loads(line))
+        except (ValueError, KeyError, TypeError) as exc:
+            if number == len(lines) - 1:
+                break  # crash-truncated tail: the run was never stored
+            raise ConfigurationError(
+                f"{path}:{number + 1}: undecodable result line "
+                f"({exc})") from None
+        results[config_key(result.config)] = result
+    return list(results.values())
+
+
 def _wall_clock() -> float:
     """Submission/creation timestamps -- dashboard bookkeeping only,
     never part of any measured result."""
@@ -142,8 +200,10 @@ class CampaignDatabase:
 
     Thread-safe: a single connection guarded by one lock serves every
     thread (the HTTP handler pool, the job scheduler, and the CLI), and
-    each write method is one transaction.  ``path`` may be ``":memory:"``
-    for tests.
+    each write method is one transaction, so a batch either lands whole
+    or not at all.  ``path`` may be ``":memory:"`` for tests.  Opening a
+    file that is not a campaign database raises
+    :class:`~repro.errors.ConfigurationError`.
     """
 
     def __init__(self, path: str = ":memory:") -> None:
@@ -151,6 +211,13 @@ class CampaignDatabase:
         self._lock = threading.RLock()
         self._conn = sqlite3.connect(path, check_same_thread=False)
         self._conn.row_factory = sqlite3.Row
+        try:
+            self._open_schema(path)
+        except sqlite3.DatabaseError as exc:
+            self._conn.close()
+            raise ConfigurationError(_not_a_database(path, exc)) from None
+
+    def _open_schema(self, path: str) -> None:
         with self._lock, self._conn:
             self._conn.execute("PRAGMA foreign_keys = ON")
             if path != ":memory:" and not path.startswith("file:"):
@@ -254,6 +321,8 @@ class CampaignDatabase:
                     results: Iterable[CampaignResult]) -> int:
         """Upsert results into the campaign; returns rows written.
 
+        One transaction: if anything fails partway through *results*, no
+        row of the batch is stored, so a resume re-runs the whole batch.
         Idempotent by ``(campaign, config_key)``: a re-inserted run
         replaces its payload but keeps its original position, so ingest
         retries and job resumes leave the corpus unchanged.
@@ -327,8 +396,8 @@ class CampaignDatabase:
         """Every stored result of the campaign, in insertion order.
 
         Bit-for-bit the results that were inserted: rows decode through
-        :func:`~repro.fault.results.result_from_dict` exactly like a
-        JSONL result log.
+        :func:`~repro.fault.results.result_from_dict` exactly like the
+        lines of an imported JSONL result log.
         """
         with self._lock:
             rows = self._conn.execute(
@@ -336,22 +405,14 @@ class CampaignDatabase:
                 "ORDER BY position", (campaign,)).fetchall()
         return [result_from_dict(json.loads(row["payload"])) for row in rows]
 
-    def result_keys(self, campaign: int) -> List[str]:
-        """The stored ``config_key`` strings, insertion-ordered."""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT config_key FROM runs WHERE campaign_id = ? "
-                "ORDER BY position", (campaign,)).fetchall()
-        return [row["config_key"] for row in rows]
-
     def split_pending(
         self, campaign: int, configs: Sequence[CampaignConfig]
     ) -> "tuple[Dict[str, CampaignResult], List[CampaignConfig]]":
         """Partition configs into (already-stored results, still-to-run).
 
-        The database analogue of
-        :meth:`repro.fault.results.ResultStore.split_pending` -- the
-        resume primitive of both ``repro ingest`` and the job scheduler.
+        The resume primitive of ``campaign/attack --results`` and the job
+        scheduler: with runs keyed by config, appending to a campaign and
+        resuming it are the same operation.
         """
         stored = {config_key(result.config): result
                   for result in self.results(campaign)}
@@ -405,15 +466,16 @@ class CampaignDatabase:
                        name: Optional[str] = None) -> "tuple[int, int]":
         """Import a JSONL result log; returns (campaign id, rows written).
 
-        Reads through the crash-tolerant :mod:`repro.store.sources`
-        loader (truncated tail lines are skipped, later duplicates win)
-        and upserts -- re-ingesting the same file is a no-op.
+        The campaign is named after the file stem unless *name* is given.
+        Reads through the crash-tolerant :func:`_read_result_log`
+        (truncated tail lines are skipped, later duplicates win) and
+        upserts -- re-ingesting the same file is a no-op.  Raises
+        :class:`OSError` for a missing file.
         """
-        from repro.store.sources import load_results
-
-        label = name or os.path.splitext(os.path.basename(path))[0]
-        campaign = self.ensure_campaign(label, source=path)
-        return campaign, self.add_results(campaign, load_results(path))
+        results = _read_result_log(path)
+        campaign = self.ensure_campaign(name or file_stem(path),
+                                        source=path)
+        return campaign, self.add_results(campaign, results)
 
     def ingest_trace(self, path: str, *,
                      name: Optional[str] = None) -> "tuple[int, int]":
@@ -425,8 +487,7 @@ class CampaignDatabase:
         """
         from repro.telemetry import read_trace
 
-        label = name or os.path.splitext(os.path.basename(path))[0]
-        campaign = self.ensure_campaign(label, source=path)
+        campaign = self.ensure_campaign(name or file_stem(path), source=path)
         events = read_trace(path)
         by_run: Dict[int, List[Dict[str, object]]] = {}
         for event in events:

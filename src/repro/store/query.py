@@ -1,10 +1,10 @@
 """The query functions the CLI and the campaign service both sit on.
 
 Every function takes the plain ordered ``List[CampaignResult]`` (or
-event list) a :mod:`repro.store.sources` source yields, so the same
-query runs unchanged over a JSONL log, a database campaign, or an
-in-memory batch -- and produces byte-identical numbers over byte-identical
-results.  The renderers in :mod:`repro.fault.report` stay the single
+event list) that :meth:`CampaignDatabase.results
+<repro.store.db.CampaignDatabase.results>` returns, so the same query
+runs unchanged over a database campaign or an in-memory batch -- and
+produces byte-identical numbers over byte-identical results.  The renderers in :mod:`repro.fault.report` stay the single
 formatting path; this module only *aggregates*.
 """
 

@@ -3,7 +3,7 @@
 The observability layer the paper's host computer approximated with
 counter read-outs: every SEU gets a lifecycle trace (strike ->
 detection -> resolution), campaigns attach phase-tagged timers, and the
-whole stream lands in crash-safe JSONL next to the ``ResultStore``.
+whole stream lands in a crash-safe JSONL trace.
 Disabled (the default, via :data:`NULL_TELEMETRY`) the layer is
 zero-cost -- see the throughput benchmark guard.
 """

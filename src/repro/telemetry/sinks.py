@@ -13,10 +13,10 @@ Three implementations cover the whole design space:
     trace can ride back to the parent attached to the ``CampaignResult``.
 
 ``JsonlTraceSink``
-    Crash-safe JSONL file sink, one event per line, mirroring the
-    ``ResultStore`` discipline: events are buffered per run and
-    flush+fsync'd in one batch by :meth:`write_run`, so a killed campaign
-    leaves at most one truncated tail line and never a half-written run.
+    Crash-safe JSONL file sink, one event per line: events are buffered
+    per run and flush+fsync'd in one batch by :meth:`write_run`, so a
+    killed campaign leaves at most one truncated tail line and never a
+    half-written run.
 """
 
 from __future__ import annotations
@@ -66,8 +66,7 @@ class JsonlTraceSink:
     :meth:`flush` serialises the buffer, appends it and fsyncs, so the
     file is consistent after a crash mid-campaign.  :meth:`write_run`
     tags each event of a finished run with its run index and flushes in
-    one batch -- the unit of durability is the run, matching
-    ``ResultStore.append``.
+    one batch -- the unit of durability is the run.
     """
 
     def __init__(self, path: str) -> None:

@@ -1,9 +1,10 @@
 """Reading, folding and rendering JSONL campaign traces.
 
-The reader is deliberately forgiving, matching ``ResultStore.load``: a
-truncated final line (crash mid-append) is dropped, blank lines are
-skipped, and unknown keys ride along untouched so traces written by a
-newer build still fold under an older one.
+The reader is deliberately forgiving, like the result-log import of
+:meth:`repro.store.CampaignDatabase.ingest_results`: a truncated final
+line (crash mid-append) is dropped, blank lines are skipped, and unknown
+keys ride along untouched so traces written by a newer build still fold
+under an older one.
 
 ``fold_stats`` is the ``stats`` subcommand's engine: it rebuilds the
 paper's Table-2 counters from the ``detect`` events alone and

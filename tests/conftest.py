@@ -66,3 +66,26 @@ def run(system):
         return run_asm(system, body, **kwargs)
 
     return runner
+
+
+@pytest.fixture
+def crash_mid_batch(monkeypatch):
+    """``arm(n)``: the n-th row ``CampaignDatabase.add_results`` writes from
+    then on raises ``OSError`` -- a host dying partway through a batch.
+    Every other row is written normally."""
+    from repro.store import db as db_module
+
+    real = db_module.result_to_dict
+
+    def arm(row: int) -> None:
+        calls = []
+
+        def crash(result):
+            calls.append(result)
+            if len(calls) == row:
+                raise OSError("host died mid-batch")
+            return real(result)
+
+        monkeypatch.setattr(db_module, "result_to_dict", crash)
+
+    return arm

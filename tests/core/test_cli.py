@@ -1,8 +1,27 @@
 """The command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
+from repro.fault.results import result_to_dict
+from repro.store import CampaignDatabase
+from repro.store.db import file_stem
+
+
+def _write_jsonl(path, results):
+    """A JSONL result log: one result object per line."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for result in results:
+            handle.write(json.dumps(result_to_dict(result),
+                                    sort_keys=True) + "\n")
+
+
+def _stored(path):
+    """The results of the campaign named after *path*'s stem."""
+    with CampaignDatabase(path) as db:
+        return db.results(db.campaign_id(file_stem(path)))
 
 
 def test_table1(capsys):
@@ -78,7 +97,7 @@ def test_campaign_recovery_prints_summary(capsys):
 
 def test_campaign_device_conflicts_with_result_store(tmp_path, capsys):
     code = main(["campaign", "--device", "standard",
-                 "--results", str(tmp_path / "runs.jsonl")])
+                 "--results", str(tmp_path / "runs.db")])
     assert code == 2
     assert "express" in capsys.readouterr().err
 
@@ -92,7 +111,6 @@ def test_availability_analytic_table(capsys):
 
 def test_availability_measured(tmp_path, capsys):
     from repro.fault.campaign import Campaign, CampaignConfig
-    from repro.fault.results import ResultStore
 
     result = Campaign(CampaignConfig(
         program="iutest", seed=3, recovery="ladder", fluence=300.0,
@@ -101,9 +119,10 @@ def test_availability_measured(tmp_path, capsys):
     result.recoveries = {"pipeline-restart": 2, "warm-reset": 1}
     result.recovery_downtime = {"pipeline-restart": 8, "warm-reset": 45_000}
     result.halts = 1
-    with ResultStore(str(tmp_path / "meas.jsonl")) as store:
-        store.append([result])
-    code = main(["availability", "--measured", str(tmp_path / "meas.jsonl")])
+    path = str(tmp_path / "meas.db")
+    with CampaignDatabase(path) as db:
+        db.add_results(db.ensure_campaign("meas"), [result])
+    code = main(["availability", "--measured", path])
     out = capsys.readouterr().out
     assert code == 0
     assert "measured from" in out
@@ -113,9 +132,10 @@ def test_availability_measured(tmp_path, capsys):
 
 
 def test_availability_measured_empty_store(tmp_path, capsys):
-    assert main(["availability", "--measured",
-                 str(tmp_path / "missing.jsonl")]) == 1
+    missing = tmp_path / "missing.db"
+    assert main(["availability", "--measured", str(missing)]) == 1
     assert "no results" in capsys.readouterr().err
+    assert not missing.exists()  # a read path creates no database
 
 
 def test_campaign_reports_elapsed_wall_throughput(capsys):
@@ -162,34 +182,120 @@ def test_campaign_trace_and_trace_stats_subcommands(tmp_path, capsys):
 
 def test_campaign_resume_reuses_zero_upset_run(tmp_path, capsys):
     """A stored run with zero upsets (below-threshold LET) must count as
-    done on resume -- the lookup checks for None, not falsiness."""
-    log = str(tmp_path / "runs.jsonl")
+    done when the command is repeated."""
+    db = str(tmp_path / "runs.db")
     base = ["campaign", "--program", "iutest", "--let", "3",
-            "--fluence", "200", "--ips", "20000"]
-    assert main(base + ["--results", log]) == 0
+            "--fluence", "200", "--ips", "20000", "--results", db]
+    assert main(base) == 0
     out = capsys.readouterr().out
     assert "upsets: 0" in out
-    assert len(open(log).readlines()) == 1
-    assert main(base + ["--resume", log]) == 0
+    first = _stored(db)
+    assert len(first) == 1
+    assert main(base) == 0
     out = capsys.readouterr().out
     assert "resume: 1 of 1" in out
     assert "upsets: 0" in out
-    assert len(open(log).readlines()) == 1  # nothing re-ran
+    again = _stored(db)
+    # Nothing re-ran: the row (down to its host wall time) is the first.
+    assert [r.wall_seconds for r in again] == \
+        [r.wall_seconds for r in first]
 
 
 def test_campaign_warm_start_results_and_resume(tmp_path, capsys):
-    log = str(tmp_path / "runs.jsonl")
+    db = str(tmp_path / "runs.db")
     base = ["campaign", "--program", "iutest", "--let", "60",
             "--fluence", "150", "--ips", "20000", "--beam-delay", "0.5",
-            "--warm-start"]
-    assert main(base + ["--runs", "2", "--results", log]) == 0
+            "--warm-start", "--results", db]
+    assert main(base + ["--runs", "2"]) == 0
     capsys.readouterr()
-    assert len(open(log).readlines()) == 2
-    # Resuming with more replicas reuses the stored two, runs three more.
-    assert main(base + ["--runs", "5", "--resume", log]) == 0
+    assert len(_stored(db)) == 2
+    # More replicas into the same file reuse the stored two, run three.
+    assert main(base + ["--runs", "5"]) == 0
     out = capsys.readouterr().out
     assert "resume: 2 of 5" in out
-    assert len(open(log).readlines()) == 5
+    assert "/3 run(s) reconverged" in out  # only three runs executed
+    assert len(_stored(db)) == 5
+
+
+def test_campaign_results_skip_runs_and_keep_the_table(tmp_path, capsys):
+    """A repeated --results command executes nothing and prints the same
+    Table 2; the stored rows equal a direct executor run at any --jobs."""
+    from repro.fault.campaign import CampaignConfig
+    from repro.fault.executor import CampaignExecutor, expand_runs
+
+    db = str(tmp_path / "x.db")
+    base = ["campaign", "--program", "iutest", "--let", "60",
+            "--fluence", "150", "--ips", "20000", "--runs", "4",
+            "--results", db]
+
+    def table(out):
+        return [line for line in out.splitlines()
+                if "host-throughput" not in line
+                and not line.startswith("resume:")]
+
+    assert main(base) == 0
+    first = capsys.readouterr().out
+    assert main(base + ["--jobs", "4"]) == 0
+    second = capsys.readouterr().out
+    assert "resume: 4 of 4" in second
+    assert "host-throughput: 0 instr/s" in second  # nothing executed
+    assert "0.00s run CPU" in second
+    assert table(second) == table(first)
+
+    configs = expand_runs(CampaignConfig(
+        program="iutest", let=60.0, fluence=150.0,
+        instructions_per_second=20_000.0), 4)
+    direct = [r.comparable() for r in CampaignExecutor(1).run_many(configs)]
+    assert [r.comparable() for r in _stored(db)] == direct
+    parallel_db = str(tmp_path / "y.db")
+    assert main(base[:-1] + [parallel_db, "--jobs", "4"]) == 0
+    capsys.readouterr()
+    assert [r.comparable() for r in _stored(parallel_db)] == direct
+
+
+def test_ingested_log_resumes_through_results(tmp_path, capsys):
+    """An old JSONL log migrates: ingest it, then --results into the
+    database runs only the configs missing from the log."""
+    from repro.fault.campaign import CampaignConfig
+    from repro.fault.executor import CampaignExecutor, expand_runs
+
+    configs = expand_runs(CampaignConfig(
+        program="iutest", let=60.0, fluence=150.0,
+        instructions_per_second=20_000.0), 5)
+    logged = CampaignExecutor(1).run_many(configs[:2])
+    log, db = str(tmp_path / "runs.jsonl"), str(tmp_path / "runs.db")
+    _write_jsonl(log, logged)
+    assert main(["ingest", log, "--db", db]) == 0
+    assert main(["campaign", "--program", "iutest", "--let", "60",
+                 "--fluence", "150", "--ips", "20000", "--runs", "5",
+                 "--results", db]) == 0
+    out = capsys.readouterr().out
+    assert "resume: 2 of 5" in out
+    stored = _stored(db)
+    # The logged rows were kept, not re-run; the rest were appended.
+    assert [r.wall_seconds for r in stored[:2]] == \
+        [r.wall_seconds for r in logged]
+    assert [r.comparable() for r in stored] == \
+        [r.comparable() for r in CampaignExecutor(1).run_many(configs)]
+
+
+@pytest.mark.parametrize("command", [
+    ["ingest", "README.md", "--db", "{bad}"],
+    ["serve", "--db", "{bad}", "--port", "0"],
+    ["campaign", "--fluence", "150", "--results", "{bad}"],
+    ["attack", "--skip-at", "0x40000000", "--runs", "1",
+     "--results", "{bad}"],
+    ["availability", "--measured", "{bad}"],
+])
+def test_non_database_file_is_a_usage_error(tmp_path, capsys, command):
+    bad = tmp_path / "not.db"
+    bad.write_text('{"config": {}}\n')
+    code = main([part.replace("{bad}", str(bad)) for part in command])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {bad}: not a campaign database" in err
+    assert "repro ingest" in err  # it looks like a JSONL log
+    assert bad.read_text() == '{"config": {}}\n'  # left untouched
 
 
 def test_sweep_warm_start(capsys):
@@ -223,19 +329,19 @@ def test_state_info_rejects_v1_file(tmp_path, capsys):
 
 
 def test_ingest_results_into_database(tmp_path, capsys):
+    from repro.fault.campaign import CampaignConfig
+    from repro.fault.executor import CampaignExecutor, expand_runs
+
     log = str(tmp_path / "runs.jsonl")
     db = str(tmp_path / "campaigns.db")
-    assert main(["campaign", "--program", "iutest", "--let", "60",
-                 "--fluence", "150", "--ips", "20000", "--runs", "2",
-                 "--results", log]) == 0
-    capsys.readouterr()
+    _write_jsonl(log, CampaignExecutor(1).run_many(expand_runs(
+        CampaignConfig(program="iutest", let=60.0, fluence=150.0,
+                       instructions_per_second=20_000.0), 2)))
     assert main(["ingest", log, "--db", db]) == 0
     out = capsys.readouterr().out
     assert "2 run(s) -> campaign 'runs' (#1)" in out  # stem names it
     # Re-ingest is idempotent: the upsert keeps the same campaign.
     assert main(["ingest", log, "--db", db, "--name", "named"]) == 0
-
-    from repro.store import CampaignDatabase
 
     with CampaignDatabase(db) as database:
         assert len(database.results(database.campaign_id("runs"))) == 2

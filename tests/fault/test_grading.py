@@ -24,7 +24,7 @@ from repro.fault.grading import (
     divergence_exit,
     first_strike_instructions,
 )
-from repro.fault.results import ResultStore
+from repro.store import CampaignDatabase
 from repro.programs.builder import build_test_program
 
 #: Mid-size settings (10k prefix, 25k window close, 27k end): enough span
@@ -189,27 +189,33 @@ def test_jobs_invariant_with_batching(warm_mid):
         [r.comparable() for r in serial]
 
 
-def test_resume_reproduces_early_exit_results(tmp_path, warm_tiny):
-    path = str(tmp_path / "runs.jsonl")
+def test_resume_reproduces_early_exit_results(warm_tiny, crash_mid_batch):
     configs = expand_runs(_tiny(), 6)
-    with ResultStore(path) as store:
-        full = CampaignExecutor(1).run_many(
-            configs, warm=warm_tiny, on_results=store.append)
-    # Lose the last line, as if the host died before the final append.
-    lines = open(path, encoding="utf-8").readlines()
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(lines[:-1])
-    done, pending = ResultStore(path).split_pending(configs)
-    assert len(pending) == 1
+    db = CampaignDatabase(":memory:")
+    campaign = db.ensure_campaign("runs")
+    batches = []
+
+    def store(batch):
+        batches.append(len(batch))
+        db.add_results(campaign, batch)
+
+    # The host dies while storing the last run: its whole batch (strike
+    # batches release several runs at once) rolls back.
+    crash_mid_batch(6)
+    with pytest.raises(OSError):
+        CampaignExecutor(1).run_many(configs, warm=warm_tiny,
+                                     on_results=store)
+    full = CampaignExecutor(1).run_many(configs, warm=warm_tiny)
+    _, pending = db.split_pending(campaign, configs)
+    assert pending == configs[len(configs) - batches[-1]:]
+    assert len(db.results(campaign)) == len(configs) - batches[-1] > 0
     # A resumed campaign re-prepares its warm start; the timeline it gets
     # is byte-identical, so grading decisions are too.
     resumed = prepare_warm_start(_tiny())
     assert pickle.dumps(resumed.timeline) == pickle.dumps(warm_tiny.timeline)
-    with ResultStore(path) as store:
-        rerun = CampaignExecutor(1).run_many(
-            pending, warm=resumed, on_results=store.append)
-    assert rerun[0].comparable() == full[-1].comparable()
-    assert len(ResultStore(path).load()) == 6
+    CampaignExecutor(1).run_many(pending, warm=resumed, on_results=store)
+    assert [r.comparable() for r in db.results(campaign)] == \
+        [r.comparable() for r in full]
 
 
 def test_early_exit_off_runs_full(warm_mid):

@@ -35,7 +35,8 @@ from repro.fault.models import (
     register_model,
     security_fold,
 )
-from repro.fault.results import ResultStore, config_key
+from repro.fault.results import config_key
+from repro.store import CampaignDatabase
 from repro.telemetry import MemorySink, Telemetry
 
 #: Small, fast campaign settings shared by the determinism matrix.
@@ -214,27 +215,27 @@ def test_model_warm_matches_cold(kind):
 
 
 @pytest.mark.parametrize("kind", ("seu", "stuck-at-1", "instruction-skip"))
-def test_model_resumes_from_truncated_store(kind, tmp_path):
-    """A crash mid-append loses at most the partial line: the resumed
-    campaign re-runs only the missing configs and the merged corpus is
-    byte-identical to an uninterrupted run."""
-    path = str(tmp_path / "results.jsonl")
+def test_model_resumes_from_truncated_store(kind, tmp_path,
+                                           crash_mid_batch):
+    """A crash partway through storing a batch loses exactly that batch:
+    the resumed campaign re-runs only its configs and the merged corpus
+    is byte-identical to an uninterrupted run."""
     configs = expand_runs(_config(kind), 3)
     full = CampaignExecutor(1).run_many(configs)
-    with ResultStore(path) as store:
-        store.append(full[:2])
-    # Simulate the crash: chop the final line mid-JSON.
-    with open(path, "rb+") as handle:
-        handle.truncate(handle.seek(0, 2) - 40)
-    store = ResultStore(path)
-    done, pending = store.split_pending(configs)
+    db = CampaignDatabase(str(tmp_path / "results.db"))
+    campaign = db.ensure_campaign("results")
+    db.add_results(campaign, full[:1])
+    # Simulate the crash: the second row of the next batch fails to write.
+    crash_mid_batch(2)
+    with pytest.raises(OSError):
+        db.add_results(campaign, full[1:])
+    done, pending = db.split_pending(campaign, configs)
     assert [config_key(c) for c in pending] == \
         [config_key(c) for c in configs[1:]]
-    with store:
-        store.append(CampaignExecutor(1).run_many(pending))
-    merged = store.load()
-    assert [merged[config_key(c)].comparable() for c in configs] == \
+    db.add_results(campaign, CampaignExecutor(1).run_many(pending))
+    assert [r.comparable() for r in db.results(campaign)] == \
         [r.comparable() for r in full]
+    db.close()
 
 
 # -- persistent faults never take the early exit -------------------------------

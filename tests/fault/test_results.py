@@ -1,4 +1,5 @@
-"""The crash-safe JSONL result store and campaign resume."""
+"""Result serialization, the JSONL result-log import, and campaign resume
+through the campaign database."""
 
 import json
 
@@ -9,11 +10,11 @@ from repro.core.config import LeonConfig
 from repro.fault.campaign import CampaignConfig, CampaignResult
 from repro.fault.executor import CampaignExecutor
 from repro.fault.results import (
-    ResultStore,
     config_key,
     result_from_dict,
     result_to_dict,
 )
+from repro.store import CampaignDatabase
 
 FAST = dict(flux=400.0, fluence=500.0, instructions_per_second=30_000.0)
 
@@ -39,6 +40,28 @@ def _result(seed=1, **overrides) -> CampaignResult:
     )
 
 
+def _line(result) -> str:
+    return json.dumps(result_to_dict(result), sort_keys=True) + "\n"
+
+
+def _write_log(path, results, tail=""):
+    """A JSONL result log of *results*, plus a raw *tail* (a torn line)."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(_line(result) for result in results)
+        handle.write(tail)
+
+
+def _ingest(path):
+    """Import a log into a fresh database: the stored results, in order."""
+    with CampaignDatabase(":memory:") as db:
+        campaign, _ = db.ingest_results(path)
+        return db.results(campaign)
+
+
+def _by_key(results):
+    return {config_key(result.config): result for result in results}
+
+
 # -- serialization -------------------------------------------------------------
 
 
@@ -60,20 +83,30 @@ def test_config_key_rejects_custom_device():
         config_key(_config(leon=LeonConfig.standard()))
 
 
-# -- the store -----------------------------------------------------------------
+# -- the database as result store ------------------------------------------------
 
 
-def test_append_load_round_trip(tmp_path):
-    path = str(tmp_path / "runs.jsonl")
+def test_append_load_round_trip():
+    db = CampaignDatabase(":memory:")
+    campaign = db.ensure_campaign("runs")
     results = [_result(seed=seed) for seed in (1, 2, 3)]
-    with ResultStore(path) as store:
-        store.append(results[:2])
-        store.append(results[2:])
-    loaded = ResultStore(path).load()
-    assert len(loaded) == 3
-    for result in results:
-        assert loaded[config_key(result.config)].comparable() == \
-            result.comparable()
+    db.add_results(campaign, results[:2])
+    db.add_results(campaign, results[2:])
+    assert [r.comparable() for r in db.results(campaign)] == \
+        [r.comparable() for r in results]
+
+
+def test_split_pending_partitions():
+    db = CampaignDatabase(":memory:")
+    campaign = db.ensure_campaign("runs")
+    configs = [_config(seed=seed) for seed in (1, 2, 3)]
+    db.add_results(campaign, [_result(seed=2)])
+    done, pending = db.split_pending(campaign, configs)
+    assert set(done) == {config_key(configs[1])}
+    assert [config.seed for config in pending] == [1, 3]
+
+
+# -- importing JSONL result logs ---------------------------------------------------
 
 
 def test_later_lines_supersede(tmp_path):
@@ -81,103 +114,96 @@ def test_later_lines_supersede(tmp_path):
     first = _result(seed=1)
     second = _result(seed=1)
     second.iterations = 99
-    with ResultStore(path) as store:
-        store.append([first])
-        store.append([second])
-    loaded = ResultStore(path).load()
-    assert len(loaded) == 1
-    assert loaded[config_key(first.config)].iterations == 99
+    _write_log(path, [first, _result(seed=2), second])
+    loaded = _ingest(path)
+    # The re-run wins without moving the run.
+    assert [r.config.seed for r in loaded] == [1, 2]
+    assert loaded[0].iterations == 99
 
 
 def test_truncated_tail_is_tolerated(tmp_path):
     path = str(tmp_path / "runs.jsonl")
-    with ResultStore(path) as store:
-        store.append([_result(seed=1)])
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write('{"config": {"program": "iu')  # crash mid-append
-    loaded = ResultStore(path).load()
-    assert len(loaded) == 1
+    _write_log(path, [_result(seed=1)],
+               tail='{"config": {"program": "iu')  # crash mid-append
+    assert len(_ingest(path)) == 1
 
 
 def test_append_after_crash_repairs_partial_tail(tmp_path):
-    """Resuming *into* a store whose last append was cut mid-line must
-    trim the fragment first -- otherwise the next append glues its row
-    onto the fragment and poisons the whole line."""
+    """A log whose last append was cut mid-line imports its complete
+    lines, and the campaign carries on in the database: the torn run is
+    simply still pending."""
     path = str(tmp_path / "runs.jsonl")
-    with ResultStore(path) as store:
-        store.append([_result(seed=1)])
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write('{"config": {"program": "iu')  # crash mid-append
-    with ResultStore(path) as store:
-        store.append([_result(seed=2)])
-    loaded = ResultStore(path).load()
-    assert {config.seed for config in
-            (r.config for r in loaded.values())} == {1, 2}
-    # Every surviving line is intact JSON (the fragment is gone).
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            json.loads(line)
+    _write_log(path, [_result(seed=1)],
+               tail='{"config": {"program": "iu')  # crash mid-append
+    db = CampaignDatabase(":memory:")
+    campaign, written = db.ingest_results(path)
+    assert written == 1
+    _, pending = db.split_pending(campaign,
+                                  [_config(seed=1), _config(seed=2)])
+    assert [config.seed for config in pending] == [2]
+    db.add_results(campaign, [_result(seed=2)])
+    assert [r.config.seed for r in db.results(campaign)] == [1, 2]
 
 
 def test_append_trims_newline_free_fragment(tmp_path):
-    """A store holding only a partial first line is repaired to empty."""
+    """A log holding only a partial first line imports as empty, and the
+    campaign it names still takes new runs."""
     path = str(tmp_path / "runs.jsonl")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write('{"config"')
-    with ResultStore(path) as store:
-        store.append([_result(seed=7)])
-    assert len(ResultStore(path).load()) == 1
+    _write_log(path, [], tail='{"config"')
+    db = CampaignDatabase(":memory:")
+    campaign, written = db.ingest_results(path)
+    assert written == 0
+    db.add_results(campaign, [_result(seed=7)])
+    assert len(db.results(campaign)) == 1
 
 
 def test_mid_file_garbage_raises(tmp_path):
     path = str(tmp_path / "runs.jsonl")
-    line = json.dumps(result_to_dict(_result(seed=1)))
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("not json at all\n" + line + "\n")
-    with pytest.raises(ConfigurationError):
-        ResultStore(path).load()
+        handle.write("not json at all\n" + _line(_result(seed=1)))
+    db = CampaignDatabase(":memory:")
+    with pytest.raises(ConfigurationError, match=r"runs.jsonl:1"):
+        db.ingest_results(path)
+    assert db.campaigns() == []  # a failed import leaves no campaign
 
 
-def test_missing_file_loads_empty(tmp_path):
-    store = ResultStore(str(tmp_path / "absent.jsonl"))
-    assert store.load() == {}
+def test_ingest_missing_file_raises(tmp_path):
+    with pytest.raises(OSError):
+        CampaignDatabase(":memory:").ingest_results(
+            str(tmp_path / "absent.jsonl"))
 
 
-def test_split_pending_partitions(tmp_path):
-    path = str(tmp_path / "runs.jsonl")
-    configs = [_config(seed=seed) for seed in (1, 2, 3)]
-    with ResultStore(path) as store:
-        store.append([_result(seed=2)])
-    done, pending = ResultStore(path).split_pending(configs)
-    assert set(done) == {config_key(configs[1])}
-    assert [config.seed for config in pending] == [1, 3]
+def test_database_file_is_not_a_result_log(tmp_path):
+    path = str(tmp_path / "runs.db")
+    with CampaignDatabase(path) as db:
+        db.add_results(db.ensure_campaign("runs"), [_result(seed=1)])
+    with pytest.raises(ConfigurationError, match="not a JSONL result log"):
+        CampaignDatabase(":memory:").ingest_results(path)
 
 
 def test_pre_grading_rows_load_with_defaults(tmp_path):
-    """Stores written before fast grading lack the exit fields; loading
-    them defaults to the legacy markers so mixed-version resumes work."""
+    """Logs written before fast grading lack the exit fields; importing
+    them defaults to the legacy markers so mixed-version corpora work."""
     path = str(tmp_path / "runs.jsonl")
     row = result_to_dict(_result(seed=1))
     row.pop("exit_reason", None)
     row.pop("graded_at_instruction", None)
+    # A pre-grading row flagged effaced was the window-close
+    # reconvergence exit; effaced is now derived from exit_reason.
+    effaced_row = json.loads(json.dumps(row))
+    effaced_row["effaced"] = True
+    effaced_row["config"]["seed"] = 3
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(row) + "\n")
-    loaded = ResultStore(path).load()
+        handle.write(_line(_result(seed=2)))  # a newer-format row
+        handle.write(json.dumps(effaced_row) + "\n")
+    loaded = _by_key(_ingest(path))
+    assert len(loaded) == 3
     result = loaded[config_key(_config(seed=1))]
     assert result.exit_reason == ""
     assert result.graded_at_instruction is None
     assert not result.effaced
-    # A resumed campaign appends new-format rows to the same store.
-    with ResultStore(path) as store:
-        store.append([_result(seed=2)])
-    assert len(ResultStore(path).load()) == 2
-    # A pre-grading row flagged effaced was the window-close
-    # reconvergence exit; effaced is now derived from exit_reason.
-    row["effaced"] = True
-    row["config"]["seed"] = 3
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(row) + "\n")
-    effaced = ResultStore(path).load()[config_key(_config(seed=3))]
+    effaced = loaded[config_key(_config(seed=3))]
     assert effaced.exit_reason == "reconverged"
     assert effaced.effaced
     assert effaced.graded_at_instruction is None
@@ -187,33 +213,33 @@ def test_pre_grading_rows_load_with_defaults(tmp_path):
 # -- resume through the executor -----------------------------------------------
 
 
-def test_resumed_campaign_recomputes_only_the_missing_runs(tmp_path):
-    path = str(tmp_path / "runs.jsonl")
-    configs = [_config(seed=seed) for seed in (21, 22, 23)]
+def test_resumed_campaign_recomputes_only_the_missing_runs(crash_mid_batch):
+    configs = [_config(seed=seed) for seed in (21, 22, 23, 24)]
     executor = CampaignExecutor(1)
+    full = executor.run_many(configs)
+    db = CampaignDatabase(":memory:")
+    campaign = db.ensure_campaign("runs")
 
-    # First attempt: the store sees every completed run...
-    with ResultStore(path) as store:
-        full = executor.run_many(configs, on_results=store.append)
-    # ...then lose one line, as if the host died before the last append.
-    lines = open(path, encoding="utf-8").readlines()
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(lines[:-1])
+    # The first batch lands; the second fails after its first row.
+    db.add_results(campaign, full[:2])
+    crash_mid_batch(2)
+    with pytest.raises(OSError):
+        db.add_results(campaign, full[2:])
+    # The whole failed batch rolled back, so resume re-runs exactly it.
+    done, pending = db.split_pending(campaign, configs)
+    assert len(done) == 2 and pending == configs[2:]
+    executor.run_many(pending,
+                      on_results=lambda batch: db.add_results(campaign,
+                                                              batch))
+    assert [r.comparable() for r in db.results(campaign)] == \
+        [r.comparable() for r in full]
 
-    done, pending = ResultStore(path).split_pending(configs)
-    assert len(done) == 2 and len(pending) == 1
-    with ResultStore(path) as store:
-        rerun = executor.run_many(pending, on_results=store.append)
-    assert rerun[0].comparable() == full[-1].comparable()
-    assert len(ResultStore(path).load()) == 3
 
-
-def test_on_results_preserves_config_order_parallel(tmp_path):
-    path = str(tmp_path / "runs.jsonl")
+def test_on_results_preserves_config_order_parallel():
+    db = CampaignDatabase(":memory:")
+    campaign = db.ensure_campaign("runs")
     configs = [_config(seed=seed) for seed in (31, 32, 33, 34)]
-    with ResultStore(path) as store:
-        CampaignExecutor(2, chunksize=1).run_many(
-            configs, on_results=store.append)
-    lines = open(path, encoding="utf-8").readlines()
-    seeds = [json.loads(line)["config"]["seed"] for line in lines]
-    assert seeds == [31, 32, 33, 34]
+    CampaignExecutor(2, chunksize=1).run_many(
+        configs, on_results=lambda batch: db.add_results(campaign, batch))
+    assert [r.config.seed for r in db.results(campaign)] == \
+        [31, 32, 33, 34]

@@ -20,7 +20,7 @@ from repro.fault.executor import (
     expand_runs,
     run_campaign_traced,
 )
-from repro.fault.results import ResultStore, config_key
+from repro.store import CampaignDatabase
 
 #: random:7 analyzes window-accurately (117/136 words provably dead, FP
 #: file untouched), and the small-cache express device keeps the claimable
@@ -93,21 +93,22 @@ def test_jobs_invariant(warm):
 
 def test_store_rows_are_identical(tmp_path):
     """The persisted rows of a static campaign reload equal to the
-    oracle's -- the store sees no difference either.  (The JSONL store
-    keys on the default device, so this variant drops the custom leon.)"""
+    oracle's -- the store sees no difference either.  (The database keys
+    runs on the default device, so this variant drops the custom leon.)"""
     base = CampaignConfig(program="random:7", let=20.0, seed=7, **STATIC)
     warm = prepare_warm_start(base)
     configs = expand_runs(base, 40)
-    fast_path = str(tmp_path / "fast.jsonl")
-    with ResultStore(fast_path) as store:
-        fast = CampaignExecutor(1).run_many(configs, warm=warm,
-                                            on_results=store.append)
+    with CampaignDatabase(str(tmp_path / "fast.db")) as db:
+        campaign = db.ensure_campaign("fast")
+        fast = CampaignExecutor(1).run_many(
+            configs, warm=warm,
+            on_results=lambda batch: db.add_results(campaign, batch))
+        stored = db.results(campaign)
     assert any(r.exit_reason == "static_masked" for r in fast)
     oracle = CampaignExecutor(1).run_many(
         [_oracle(config) for config in configs], warm=warm, batch=False)
-    stored = ResultStore(fast_path).load()
-    assert [stored[config_key(config)].comparable() for config in configs] \
-        == [r.comparable() for r in oracle]
+    assert [r.comparable() for r in stored] == \
+        [r.comparable() for r in oracle]
 
 
 def test_traced_streams_match_the_oracle(warm):

@@ -13,7 +13,8 @@ import pytest
 from repro import LeonConfig
 from repro.fault.campaign import Campaign, CampaignConfig, prepare_warm_start
 from repro.fault.executor import CampaignExecutor
-from repro.fault.results import ResultStore, result_from_dict, result_to_dict
+from repro.fault.results import result_from_dict, result_to_dict
+from repro.store import CampaignDatabase
 from repro.recovery import RESTART_CYCLES
 
 #: Beam dense enough to halt the unprotected device (seed 16).
@@ -112,7 +113,7 @@ def test_warm_start_recovery_identical_to_cold():
 FAST = dict(flux=400.0, fluence=300.0, instructions_per_second=20_000.0)
 
 
-def test_result_store_roundtrip_with_recovery_fields(tmp_path):
+def test_result_store_roundtrip_with_recovery_fields():
     config = CampaignConfig(program="iutest", seed=3, recovery="ladder",
                             **FAST)
     result = Campaign(config).run()
@@ -122,10 +123,10 @@ def test_result_store_roundtrip_with_recovery_fields(tmp_path):
     result.recovery_downtime = {"warm-reset": 90_000, "pipeline-restart": 12}
     result.halts = 2
     result.unrecovered = True
-    store = ResultStore(str(tmp_path / "runs.jsonl"))
-    store.append([result])
-    store.close()
-    loaded, = store.load().values()
+    with CampaignDatabase(":memory:") as db:
+        campaign = db.ensure_campaign("runs")
+        db.add_results(campaign, [result])
+        loaded, = db.results(campaign)
     assert loaded.comparable() == result.comparable()
     assert loaded.config.recovery == "ladder"
     assert loaded.mttr_cycles == result.mttr_cycles

@@ -1,11 +1,13 @@
 """The campaign database: schema, idempotent ingest, job rows."""
 
+import json
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.fault.campaign import CampaignConfig, CampaignResult
-from repro.fault.results import ResultStore, config_key, config_to_dict
-from repro.store import CampaignDatabase, DatabaseResults, JsonlResults
+from repro.fault.results import config_key, config_to_dict, result_to_dict
+from repro.store import CampaignDatabase
 
 FAST = dict(flux=400.0, fluence=500.0, instructions_per_second=30_000.0)
 
@@ -30,6 +32,13 @@ def _result(seed=1, counts=None, **overrides) -> CampaignResult:
         instructions=25_000,
         wall_seconds=0.5,
     )
+
+
+def _write_log(path, results):
+    with open(path, "w", encoding="utf-8") as handle:
+        for result in results:
+            handle.write(json.dumps(result_to_dict(result),
+                                    sort_keys=True) + "\n")
 
 
 @pytest.fixture()
@@ -89,8 +98,7 @@ def test_campaign_resolution(db):
 
 def test_ingest_results_idempotent(db, tmp_path):
     path = str(tmp_path / "runs.jsonl")
-    with ResultStore(path) as store:
-        store.append([_result(seed=seed) for seed in (1, 2)])
+    _write_log(path, [_result(seed=seed) for seed in (1, 2)])
     campaign, written = db.ingest_results(path, name="imported")
     assert written == 2
     again_campaign, _ = db.ingest_results(path, name="imported")
@@ -99,15 +107,15 @@ def test_ingest_results_idempotent(db, tmp_path):
 
 
 def test_jsonl_and_database_sources_agree(db, tmp_path):
+    """An imported log reads back as exactly the results it holds, in
+    file order, under the file-stem campaign name."""
     path = str(tmp_path / "runs.jsonl")
-    results = [_result(seed=seed) for seed in (1, 2, 3)]
-    with ResultStore(path) as store:
-        store.append(results)
-    campaign, _ = db.ingest_results(path, name="imported")
-    from_file = JsonlResults(path).results()
-    from_db = DatabaseResults(db, campaign).results()
-    assert [r.comparable() for r in from_file] == \
-        [r.comparable() for r in from_db]
+    results = [_result(seed=seed) for seed in (3, 1, 2)]
+    _write_log(path, results)
+    campaign, _ = db.ingest_results(path)
+    assert campaign == db.campaign_id("runs")
+    assert [r.comparable() for r in db.results(campaign)] == \
+        [r.comparable() for r in results]
 
 
 def test_run_events_round_trip(db):
@@ -194,6 +202,15 @@ def test_v1_database_migrates_in_place(tmp_path):
         rows = database._conn.execute(
             "SELECT fault_model FROM runs ORDER BY position").fetchall()
         assert [r["fault_model"] for r in rows] == ["seu", "sefi"]
+
+
+def test_empty_file_opens_as_new_database(tmp_path):
+    """A zero-byte file (a fresh ``mkstemp``) is a new, empty database,
+    not a foreign file."""
+    path = tmp_path / "fresh.db"
+    path.write_bytes(b"")
+    with CampaignDatabase(str(path)) as database:
+        assert database.campaigns() == []
 
 
 def test_newer_schema_is_refused(tmp_path):

@@ -1,5 +1,8 @@
-"""Query-layer equivalence: JSONL-backed and SQLite-backed campaigns
-must fold, render, and curve byte-identically."""
+"""Query-layer equivalence: a campaign stored in the database (imported
+from a JSONL log) must fold, render, and curve byte-identically to the
+in-memory results it came from."""
+
+import json
 
 import pytest
 
@@ -7,11 +10,9 @@ from repro.fault.campaign import CampaignConfig, prepare_warm_start
 from repro.fault.crosssection import measure_curve
 from repro.fault.executor import CampaignExecutor, expand_runs, run_campaign_traced
 from repro.fault.report import render_table2
-from repro.fault.results import ResultStore
+from repro.fault.results import result_to_dict
 from repro.store import (
     CampaignDatabase,
-    DatabaseResults,
-    JsonlResults,
     availability_readout,
     curve_from_results,
     diff_results,
@@ -42,20 +43,22 @@ def campaign_results():
 
 @pytest.fixture()
 def stores(tmp_path, campaign_results):
-    """The same campaign in a JSONL log and a database campaign."""
+    """The campaign's results in memory and as read back from the
+    database after a JSONL import."""
     path = str(tmp_path / "runs.jsonl")
-    with ResultStore(path) as store:
-        store.append(campaign_results)
-    db = CampaignDatabase(":memory:")
-    campaign, _ = db.ingest_results(path, name="tiny")
-    yield JsonlResults(path), DatabaseResults(db, campaign)
-    db.close()
+    with open(path, "w", encoding="utf-8") as handle:
+        for result in campaign_results:
+            handle.write(json.dumps(result_to_dict(result),
+                                    sort_keys=True) + "\n")
+    with CampaignDatabase(":memory:") as db:
+        campaign, _ = db.ingest_results(path, name="tiny")
+        yield campaign_results, db.results(campaign)
 
 
 def test_table2_identical_across_backends(stores):
-    jsonl, database = stores
-    assert render_table2(jsonl.results()) == render_table2(database.results())
-    assert fold_results(jsonl.results()) == fold_results(database.results())
+    memory, database = stores
+    assert render_table2(memory) == render_table2(database)
+    assert fold_results(memory) == fold_results(database)
 
 
 def test_fold_totals_match_results(campaign_results):
@@ -69,9 +72,9 @@ def test_fold_totals_match_results(campaign_results):
 
 
 def test_curve_identical_across_backends(stores):
-    jsonl, database = stores
-    assert curve_from_results(jsonl.results()).as_dict() == \
-        curve_from_results(database.results()).as_dict()
+    memory, database = stores
+    assert curve_from_results(memory).as_dict() == \
+        curve_from_results(database).as_dict()
 
 
 def test_curve_matches_live_sweep():
@@ -92,9 +95,8 @@ def test_curve_matches_live_sweep():
 
 
 def test_availability_identical_across_backends(stores):
-    jsonl, database = stores
-    assert availability_readout(jsonl.results()) == \
-        availability_readout(database.results())
+    memory, database = stores
+    assert availability_readout(memory) == availability_readout(database)
 
 
 def test_diff_of_identical_campaigns_is_clean(campaign_results):
