@@ -1,20 +1,23 @@
 #!/usr/bin/env python
 """CI trace smoke: a tiny traced campaign end to end through the CLI.
 
-Runs ``campaign --trace`` (two IUTEST replicas at LET 110, fanned across
-two jobs), then drives the ``trace`` and ``stats`` subcommands over the
-file it produced, and checks the tentpole invariants directly:
+Runs ``campaign --results DB --trace`` (two IUTEST replicas at LET 110,
+fanned across two jobs), resumes it to three runs, then drives the
+``trace`` and ``stats`` subcommands over the database it produced, and
+checks the tentpole invariants directly:
 
   * every injected strike has a terminal lifecycle event
     (resolve or close) -- the trace view is complete;
   * the Table-2 counters folded from detect events alone match the
     run-end readouts each run recorded (``TraceStats.consistent``);
+  * the resumed run is stored as run 2 with its own config's seed --
+    a resume never reuses a run index;
   * the campaign's measured results are byte-identical to an untraced
     execution of the same configs -- telemetry only observes.
 
 Exit code 1 on any violation.
 
-Usage: PYTHONPATH=src python scripts/trace_smoke.py [trace.jsonl]
+Usage: PYTHONPATH=src python scripts/trace_smoke.py [trace.db]
 """
 
 import os
@@ -24,24 +27,30 @@ import tempfile
 from repro.cli import main as cli
 from repro.fault.campaign import CampaignConfig
 from repro.fault.executor import CampaignExecutor, expand_runs
-from repro.telemetry import fold_stats, lifecycles, read_trace
+from repro.store import CampaignDatabase
+from repro.store.db import file_stem
+from repro.telemetry import fold_stats, lifecycles
 
 CAMPAIGN = ["campaign", "--program", "iutest", "--let", "110",
             "--flux", "400", "--fluence", "600", "--ips", "20000",
-            "--runs", "2", "--jobs", "2"]
+            "--jobs", "2"]
+CONFIG = CampaignConfig(program="iutest", let=110.0, flux=400.0,
+                        fluence=600.0, instructions_per_second=20_000.0)
 
 
 def main() -> int:
     if len(sys.argv) > 1:
         path = sys.argv[1]
     else:
-        handle, path = tempfile.mkstemp(suffix=".jsonl", prefix="trace-")
+        handle, path = tempfile.mkstemp(suffix=".db", prefix="trace-")
         os.close(handle)
-        os.unlink(path)
 
-    if cli(CAMPAIGN + ["--trace", path]) != 0:
-        print("FAIL: traced campaign reported failures")
-        return 1
+    for runs in ("2", "3"):
+        if cli(CAMPAIGN + ["--runs", runs, "--results", path,
+                           "--trace"]) != 0:
+            print(f"FAIL: traced campaign (--runs {runs}) reported "
+                  f"failures")
+            return 1
     for view in (["trace", path], ["stats", path]):
         print(f"\n$ repro {' '.join(view)}")
         if cli(view) != 0:
@@ -49,7 +58,8 @@ def main() -> int:
             return 1
 
     failed = False
-    events = read_trace(path)
+    with CampaignDatabase(path) as db:
+        events = db.events(db.campaign_id(file_stem(path)))
     lives = lifecycles(events)
     strikes = [life for life in lives if life.strike is not None]
     dangling = [life for life in lives if not life.terminal]
@@ -66,10 +76,19 @@ def main() -> int:
         print("FAIL: event-derived counters disagree with run-end readouts")
         failed = True
 
+    configs = expand_runs(CONFIG, 3)
+    starts = [(e["run"], e["seed"]) for e in events if e["ev"] == "run-start"]
+    expected_starts = [(run, config.seed)
+                       for run, config in enumerate(configs)]
+    if starts != expected_starts:
+        print(f"FAIL: run-start (run, seed) pairs {starts} != "
+              f"{expected_starts} after the resume")
+        failed = True
+    else:
+        print("resumed run stored as run 2 with its own seed: OK")
+
     # Byte-identity: re-run the same configs untraced and compare.
-    config = CampaignConfig(program="iutest", let=110.0, flux=400.0,
-                            fluence=600.0, instructions_per_second=20_000.0)
-    untraced = CampaignExecutor(2).run_many(expand_runs(config, 2))
+    untraced = CampaignExecutor(2).run_many(configs)
     run_end = [e for e in events if e["ev"] == "run-end"]
     readouts = [(e["counts"], e["upsets"], e["halted"]) for e in run_end]
     expected = [(dict(r.counts), r.upsets, r.halted) for r in untraced]

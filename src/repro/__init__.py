@@ -40,7 +40,6 @@ from repro.sparc.asm import Program, assemble
 from repro.sparc.disasm import disassemble
 from repro.telemetry import (
     NULL_TELEMETRY,
-    JsonlTraceSink,
     MemorySink,
     Telemetry,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "FtConfig",
     "LeonConfig",
     "LeonSystem",
-    "JsonlTraceSink",
     "LockStepReport",
     "MasterChecker",
     "MemoryConfig",

@@ -10,10 +10,11 @@ Subcommands:
     analyze      static analysis of a test program: CFG with delay
                  slots, liveness, the ACE map campaigns pre-classify
                  against
-    trace        pretty-print a campaign telemetry trace (per-upset
-                 lifecycle view)
-    stats        fold a telemetry trace into Table-2 counters, per-site
-                 detection/correction tallies and latency histograms
+    trace        pretty-print a stored campaign telemetry trace
+                 (per-upset lifecycle view)
+    stats        fold a stored telemetry trace into Table-2 counters,
+                 per-site detection/correction tallies and latency
+                 histograms
     state        save or inspect a device snapshot
     table1       print the synthesis-area comparison (Table 1)
     figure2      print the pipeline diagrams (Figure 2)
@@ -41,18 +42,20 @@ reboot) so runs survive error-mode halts; ``availability --measured FILE``
 folds the downtime stored in a ``--results`` database back into the
 orbital availability estimate.
 
-``campaign --trace FILE`` records every run's SEU lifecycle events
-(strike -> detection -> resolution) plus phase timers to a crash-safe
-JSONL trace; ``trace FILE`` pretty-prints it and ``stats FILE`` folds it
-back into the paper's counter readouts.  Measured results are
+``campaign --results FILE --trace`` also records every run's SEU
+lifecycle events (strike -> detection -> resolution) plus phase timers,
+stored with the run's result row in the same transaction; ``trace FILE``
+pretty-prints the trace of FILE's file-stem campaign and ``stats FILE``
+folds it back into the paper's counter readouts.  Measured results are
 byte-identical with tracing on or off.
 
 ``serve`` runs the campaign service: POST a campaign spec to
 ``/api/jobs``, poll the job id, read Table-2 folds / cross-section
 curves / availability / diffs back over HTTP -- numbers byte-identical
 to the CLI's, because both sit on the same :mod:`repro.store` database
-and query layer.  ``ingest`` imports JSONL result logs (the CLI's format
-before the database) and telemetry traces into a database idempotently.
+and query layer.  ``ingest`` imports JSONL result logs and telemetry
+traces (the CLI's formats before the database) into a database
+idempotently.
 """
 
 from __future__ import annotations
@@ -104,10 +107,8 @@ from repro.state.snapshot import Snapshot
 from repro.store import CampaignDatabase
 from repro.store.db import file_stem
 from repro.telemetry import (
-    JsonlTraceSink,
     fold_stats,
     lifecycles,
-    read_trace,
     render_lifecycle,
     render_stats,
 )
@@ -201,11 +202,11 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--device", choices=sorted(_CONFIGS),
                           default="express",
                           help="device configuration (default: express; "
-                               "--results requires express)")
-    campaign.add_argument("--trace", metavar="FILE", default=None,
-                          help="record per-upset lifecycle events and "
-                               "phase timers to a JSONL telemetry trace "
-                               "(results unchanged)")
+                               "--results and --trace require express)")
+    campaign.add_argument("--trace", action="store_true",
+                          help="also store per-upset lifecycle events and "
+                               "phase timers with each run in the "
+                               "--results database (results unchanged)")
 
     attack = subparsers.add_parser(
         "attack", help="targeted fault attack: detected / silent / "
@@ -248,7 +249,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     trace = subparsers.add_parser(
         "trace", help="pretty-print a campaign telemetry trace")
-    trace.add_argument("file", help="JSONL trace written by campaign --trace")
+    trace.add_argument("file", help="campaign database written by "
+                                    "campaign --results FILE --trace")
     trace.add_argument("--run", type=int, default=None,
                        help="only this run index")
     trace.add_argument("--target", default=None,
@@ -263,7 +265,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     stats = subparsers.add_parser(
         "stats", help="fold a telemetry trace into counter readouts")
-    stats.add_argument("file", help="JSONL trace written by campaign --trace")
+    stats.add_argument("file", help="campaign database written by "
+                                    "campaign --results FILE --trace")
 
     sweep = subparsers.add_parser("sweep", help="cross-section vs LET sweep")
     sweep.add_argument("--program", default="iutest",
@@ -458,6 +461,10 @@ def _in_config_order(configs, stored, pending, fresh):
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
+    if args.trace and not args.results:
+        print("error: --trace stores each run's events in the --results "
+              "database; add --results FILE", file=sys.stderr)
+        return 2
     if args.device != "express" and args.results:
         print("error: --results stores only the default (express) "
               "device; drop --device or --results", file=sys.stderr)
@@ -478,36 +485,16 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     )
     configs = expand_runs(config, args.runs)
 
+    runner = run_campaign_traced if args.trace else run_campaign
     with _results_database(args.results, "campaign", configs) as (
             stored, pending, store):
-        trace_sink = JsonlTraceSink(args.trace) if args.trace else None
-        runner = (run_campaign_traced if trace_sink is not None
-                  else run_campaign)
-        next_run_index = 0
-
-        def on_results(batch):
-            # The executor delivers batches in config order (both paths),
-            # so run indices -- and the trace file -- are jobs-invariant.
-            nonlocal next_run_index
-            if store is not None:
-                store(batch)
-            if trace_sink is not None:
-                for result in batch:
-                    trace_sink.write_run(result.trace or [],
-                                         run=next_run_index)
-                    next_run_index += 1
-
         started = time.perf_counter()
         warm = None
         if args.warm_start and pending:
             warm = prepare_warm_start(config)
-        try:
-            fresh = CampaignExecutor(args.jobs, runner=runner).run_many(
-                pending, warm=warm, batch=not args.no_early_exit,
-                on_results=on_results)
-        finally:
-            if trace_sink is not None:
-                trace_sink.close()
+        fresh = CampaignExecutor(args.jobs, runner=runner).run_many(
+            pending, warm=warm, batch=not args.no_early_exit,
+            on_results=store)
         elapsed = time.perf_counter() - started
 
     results = _in_config_order(configs, stored, pending, fresh)
@@ -726,18 +713,28 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stored_results(path: str):
-    """The results of the campaign named after *path*'s stem in the
-    database *path*; empty when either does not exist.  Creates no
-    file."""
+def _file_campaign(path: str, read):
+    """``read(db, campaign)`` on the campaign named after *path*'s stem
+    in the database *path*; None when either does not exist.  Creates
+    no file."""
     if not os.path.exists(path):
-        return []
+        return None
     with CampaignDatabase(path) as db:
         name = file_stem(path)
         for row in db.campaigns():
             if row["name"] == name:
-                return db.results(int(row["id"]))
-    return []
+                return read(db, int(row["id"]))
+    return None
+
+
+def _stored_events(path: str):
+    """The trace events of the campaign named after *path*'s stem."""
+    events = _file_campaign(path, CampaignDatabase.events)
+    if not events:
+        raise ConfigurationError(
+            f"{path}: no trace events in campaign '{file_stem(path)}' "
+            f"(record them with `repro campaign --results {path} --trace`)")
+    return events
 
 
 def _cmd_availability(args: argparse.Namespace) -> int:
@@ -759,7 +756,7 @@ def _cmd_availability(args: argparse.Namespace) -> int:
     if not args.measured:
         return 0
 
-    results = _stored_results(args.measured)
+    results = _file_campaign(args.measured, CampaignDatabase.results)
     if not results:
         print(f"\nno results in {args.measured}", file=sys.stderr)
         return 1
@@ -811,7 +808,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    events = read_trace(args.file)
+    events = _stored_events(args.file)
     if args.events:
         import json
 
@@ -836,7 +833,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    stats = fold_stats(read_trace(args.file))
+    stats = fold_stats(_stored_events(args.file))
     print(render_stats(stats))
     return 0 if stats.consistent else 1
 

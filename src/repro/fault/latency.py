@@ -20,15 +20,9 @@ from typing import Dict, List, Optional
 
 from repro.core.config import LeonConfig
 from repro.core.system import LeonSystem
-from repro.errors import ConfigurationError
+from repro.fault.campaign import resolve_builder
 from repro.fault.injector import FaultInjector
-from repro.programs import ProgramHarness, build_cncf, build_iutest, build_paranoia
-
-_BUILDERS = {
-    "iutest": build_iutest,
-    "paranoia": build_paranoia,
-    "cncf": build_cncf,
-}
+from repro.programs import ProgramHarness
 
 
 @dataclass
@@ -92,7 +86,8 @@ def measure_detection_latency(
     program_kwargs: Optional[dict] = None,
     warmup_range: tuple = (30_000, 90_000),
 ) -> LatencyReport:
-    """Measure per-upset detection latency under ``program``.
+    """Measure per-upset detection latency under ``program`` (a campaign
+    program spec: a named program or ``random:<seed>``).
 
     Each trial uses a fresh system: one upset is injected at a random
     (area-weighted) location after a random warm-up, then the program runs
@@ -102,12 +97,10 @@ def measure_detection_latency(
     *still writing* is silently erased -- real, but not the latency being
     measured).
     """
-    if program not in _BUILDERS:
-        raise ConfigurationError(f"unknown program {program!r}")
+    builder = resolve_builder(program)
     leon = leon or LeonConfig.leon_express()
     rng = random.Random(seed)
     report = LatencyReport(program, window_instructions)
-    builder = _BUILDERS[program]
 
     for _trial in range(strikes):
         system = LeonSystem(leon)

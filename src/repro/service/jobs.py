@@ -31,7 +31,6 @@ from repro.fault.executor import (
     run_campaign,
     run_campaign_traced,
 )
-from repro.fault.results import config_key
 from repro.store.db import CampaignDatabase
 
 #: Job states a restarted queue picks back up.
@@ -155,27 +154,19 @@ class JobQueue:
             self.db.update_job(job_id, state="done")
             return
 
-        trace = bool(options.get("trace", False))
         early_exit = bool(options.get("early_exit", True))
-        runner = run_campaign_traced if trace else run_campaign
+        runner = (run_campaign_traced if options.get("trace")
+                  else run_campaign)
         executor = self._executor or CampaignExecutor(
             int(options.get("jobs", self.jobs)), runner=runner)
         warm = (prepare_warm_start(pending[0])
                 if options.get("warm_start") and pending else None)
-        # Runs keep their position within the job's config list, so trace
-        # run indices -- like the CLI's -- are jobs-invariant.
-        position_of = {config_key(config): position
-                       for position, config in enumerate(configs)}
-        pending_iter = iter(pending)
         progress = [completed]
 
         def on_results(batch: List) -> None:
+            # Traced results carry their events; add_results stores them
+            # with the run rows, keyed by each run's campaign position.
             self.db.add_results(campaign, batch)
-            if trace:
-                for result, config in zip(batch, pending_iter):
-                    self.db.add_run_events(
-                        campaign, position_of[config_key(config)],
-                        result.trace or [])
             progress[0] += len(batch)
             with self._lock:
                 if job_id in self._cancel_requested:

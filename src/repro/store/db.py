@@ -18,9 +18,11 @@ this is the equivalent for the simulator.  The schema:
     unpacked for per-target/per-counter SQL without JSON parsing.
 ``events``
     Telemetry trace events (the SEU lifecycles), ``(campaign, run, seq)``
-    ordered, payloads verbatim -- folding them back through
-    :func:`repro.telemetry.fold_stats` is byte-identical to folding the
-    JSONL trace they came from.
+    ordered, payloads verbatim.  A traced run's events are written with
+    its ``runs`` row, in the same transaction, keyed by the row's
+    ``position`` -- so a run is stored whole or not at all, and every run
+    of a campaign has its own index however many commands, jobs or
+    resumes added to it.
 ``jobs``
     The service's job queue (:mod:`repro.service.jobs`): submitted
     configs, lifecycle state, and progress counts.  Persisted here so a
@@ -33,8 +35,9 @@ index, not a second copy of the truth).
 
 JSONL result logs -- one :func:`~repro.fault.results.result_to_dict`
 object per line, the format campaigns were logged in before this
-database existed -- survive only as an import format
-(:meth:`CampaignDatabase.ingest_results`).
+database existed -- and JSONL telemetry traces survive only as import
+formats (:meth:`CampaignDatabase.ingest_results`,
+:meth:`CampaignDatabase.ingest_trace`).
 """
 
 from __future__ import annotations
@@ -145,17 +148,26 @@ def file_stem(path: str) -> str:
 
 def _not_a_database(path: str, exc: sqlite3.DatabaseError) -> str:
     """The error for a file SQLite refuses, naming the fix when the file
-    is a JSONL result log passed where the database belongs."""
+    is a JSONL result log or telemetry trace passed where the database
+    belongs."""
     message = f"{path}: not a campaign database ({exc})"
     try:
         with open(path, "rb") as handle:
-            looks_jsonl = handle.read(64).lstrip().startswith(b"{")
+            first = handle.readline(1 << 16).strip()
     except OSError:
-        looks_jsonl = False
-    if looks_jsonl:
-        message += (f"; it looks like a JSONL result log -- import it "
-                    f"with `repro ingest {path} --db <database>`")
-    return message
+        first = b""
+    if not first.startswith(b"{"):
+        return message
+    try:
+        is_trace = "ev" in json.loads(first)
+    except (ValueError, TypeError):
+        is_trace = False
+    if is_trace:
+        return message + (f"; it looks like a JSONL telemetry trace -- "
+                          f"import it with `repro ingest --trace {path} "
+                          f"--db <database>`")
+    return message + (f"; it looks like a JSONL result log -- import it "
+                      f"with `repro ingest {path} --db <database>`")
 
 
 def _read_result_log(path: str) -> List[CampaignResult]:
@@ -202,14 +214,18 @@ class CampaignDatabase:
     thread (the HTTP handler pool, the job scheduler, and the CLI), and
     each write method is one transaction, so a batch either lands whole
     or not at all.  ``path`` may be ``":memory:"`` for tests.  Opening a
-    file that is not a campaign database raises
-    :class:`~repro.errors.ConfigurationError`.
+    file that is not a campaign database, or a path SQLite cannot open,
+    raises :class:`~repro.errors.ConfigurationError`.
     """
 
     def __init__(self, path: str = ":memory:") -> None:
         self.path = path
         self._lock = threading.RLock()
-        self._conn = sqlite3.connect(path, check_same_thread=False)
+        try:
+            self._conn = sqlite3.connect(path, check_same_thread=False)
+        except sqlite3.Error as exc:
+            raise ConfigurationError(
+                f"{path}: cannot open campaign database ({exc})") from None
         self._conn.row_factory = sqlite3.Row
         try:
             self._open_schema(path)
@@ -289,16 +305,18 @@ class CampaignDatabase:
             return int(cursor.lastrowid)
 
     def campaign_id(self, name_or_id) -> int:
-        """Resolve a campaign by numeric id or name."""
+        """Resolve a campaign by name, or else by numeric id (an int or
+        an all-digit string) -- a campaign named ``7`` wins over id 7."""
+        row = None
         with self._lock:
-            if isinstance(name_or_id, int) or str(name_or_id).isdigit():
-                row = self._conn.execute(
-                    "SELECT id FROM campaigns WHERE id = ?",
-                    (int(name_or_id),)).fetchone()
-            else:
+            if not isinstance(name_or_id, int):
                 row = self._conn.execute(
                     "SELECT id FROM campaigns WHERE name = ?",
                     (str(name_or_id),)).fetchone()
+            if row is None and str(name_or_id).isdigit():
+                row = self._conn.execute(
+                    "SELECT id FROM campaigns WHERE id = ?",
+                    (int(name_or_id),)).fetchone()
         if row is None:
             raise ConfigurationError(f"unknown campaign {name_or_id!r}")
         return int(row["id"])
@@ -325,7 +343,9 @@ class CampaignDatabase:
         row of the batch is stored, so a resume re-runs the whole batch.
         Idempotent by ``(campaign, config_key)``: a re-inserted run
         replaces its payload but keeps its original position, so ingest
-        retries and job resumes leave the corpus unchanged.
+        retries and job resumes leave the corpus unchanged.  A result
+        whose ``trace`` is not None also replaces that run's telemetry
+        events, tagged with the row's position as their ``run``.
         """
         written = 0
         with self._lock, self._conn:
@@ -371,9 +391,10 @@ class CampaignDatabase:
                      result.halts, int(result.unrecovered),
                      result.exit_reason, result.counts.get("Total", 0),
                      json.dumps(payload, sort_keys=True)))
-                run_id = int(self._conn.execute(
-                    "SELECT id FROM runs WHERE campaign_id = ? "
-                    "AND config_key = ?", (campaign, key)).fetchone()["id"])
+                stored = self._conn.execute(
+                    "SELECT id, position FROM runs WHERE campaign_id = ? "
+                    "AND config_key = ?", (campaign, key)).fetchone()
+                run_id = int(stored["id"])
                 self._conn.execute(
                     "DELETE FROM upsets WHERE run_id = ?", (run_id,))
                 self._conn.execute(
@@ -388,6 +409,9 @@ class CampaignDatabase:
                     "VALUES (?, ?, ?)",
                     [(run_id, counter, count) for counter, count
                      in sorted(result.counts.items())])
+                if result.trace is not None:
+                    self._replace_events(campaign, int(stored["position"]),
+                                         result.trace)
                 position += 1
                 written += 1
         return written
@@ -428,29 +452,23 @@ class CampaignDatabase:
 
     # -- telemetry events --------------------------------------------------
 
-    def add_run_events(self, campaign: int, run: int,
-                       events: Sequence[Dict[str, object]]) -> None:
-        """Replace the stored trace of one run (idempotent per run).
-
-        Events are stored with their ``run`` tag normalized to *run* --
-        the same framing :class:`repro.telemetry.JsonlTraceSink.write_run`
-        applies -- so reading them back reproduces the trace file's
-        event stream byte for byte.
-        """
-        with self._lock, self._conn:
-            self._conn.execute(
-                "DELETE FROM events WHERE campaign_id = ? AND run = ?",
-                (campaign, run))
-            rows = []
-            for seq, event in enumerate(events):
-                tagged = {"run": run}
-                tagged.update(event)
-                tagged["run"] = run
-                rows.append((campaign, run, seq, str(tagged.get("ev", "")),
-                             json.dumps(tagged, sort_keys=True)))
-            self._conn.executemany(
-                "INSERT INTO events (campaign_id, run, seq, ev, payload) "
-                "VALUES (?, ?, ?, ?, ?)", rows)
+    def _replace_events(self, campaign: int, run: int,
+                        events: Sequence[Dict[str, object]]) -> None:
+        """Replace the stored trace of one run, each event tagged
+        ``"run": run`` (caller holds the lock and the transaction)."""
+        self._conn.execute(
+            "DELETE FROM events WHERE campaign_id = ? AND run = ?",
+            (campaign, run))
+        rows = []
+        for seq, event in enumerate(events):
+            tagged = {"run": run}
+            tagged.update(event)
+            tagged["run"] = run
+            rows.append((campaign, run, seq, str(tagged.get("ev", "")),
+                         json.dumps(tagged, sort_keys=True)))
+        self._conn.executemany(
+            "INSERT INTO events (campaign_id, run, seq, ev, payload) "
+            "VALUES (?, ?, ?, ?, ?)", rows)
 
     def events(self, campaign: int) -> List[Dict[str, object]]:
         """The campaign's trace events in (run, seq) order."""
@@ -482,21 +500,22 @@ class CampaignDatabase:
         """Import a JSONL telemetry trace; returns (campaign id, events).
 
         Events land in the campaign named after the trace file (or
-        *name*), grouped by their ``run`` tags; re-ingesting replaces
-        each run's events in place.
+        *name*), grouped by their ``run`` tags, in one transaction;
+        re-ingesting replaces each run's events in place.  This is the
+        import path for traces written outside the database: campaigns
+        store their own traces through :meth:`add_results`.
         """
         from repro.telemetry import read_trace
 
-        campaign = self.ensure_campaign(name or file_stem(path), source=path)
         events = read_trace(path)
         by_run: Dict[int, List[Dict[str, object]]] = {}
         for event in events:
             by_run.setdefault(int(event.get("run", 0)), []).append(event)
-        total = 0
-        for run in sorted(by_run):
-            self.add_run_events(campaign, run, by_run[run])
-            total += len(by_run[run])
-        return campaign, total
+        campaign = self.ensure_campaign(name or file_stem(path), source=path)
+        with self._lock, self._conn:
+            for run in sorted(by_run):
+                self._replace_events(campaign, run, by_run[run])
+        return campaign, len(events)
 
     # -- jobs --------------------------------------------------------------
 

@@ -3,14 +3,15 @@
 The observability layer the paper's host computer approximated with
 counter read-outs: every SEU gets a lifecycle trace (strike ->
 detection -> resolution), campaigns attach phase-tagged timers, and the
-whole stream lands in a crash-safe JSONL trace.
+whole stream is stored with each run's result row in the campaign
+database (:mod:`repro.store`).
 Disabled (the default, via :data:`NULL_TELEMETRY`) the layer is
 zero-cost -- see the throughput benchmark guard.
 """
 
 from repro.telemetry.bus import CLOSE_STATES, NULL_TELEMETRY, Telemetry
 from repro.telemetry.metrics import Histogram, MetricsRegistry
-from repro.telemetry.sinks import JsonlTraceSink, MemorySink, NullSink
+from repro.telemetry.sinks import MemorySink, NullSink
 from repro.telemetry.trace import (
     Lifecycle,
     TraceStats,
@@ -24,7 +25,6 @@ from repro.telemetry.trace import (
 __all__ = [
     "CLOSE_STATES",
     "Histogram",
-    "JsonlTraceSink",
     "Lifecycle",
     "MemorySink",
     "MetricsRegistry",

@@ -1,7 +1,7 @@
 """Metrics registry: named counters and log-2 bucketed histograms.
 
 The registry is the in-process aggregate view of the event stream --
-the ``stats`` CLI folds a JSONL trace back into one of these, and an
+the ``stats`` CLI folds a stored trace back into one of these, and an
 enabled :class:`~repro.telemetry.bus.Telemetry` keeps per-event-type
 counts as it emits.  Histograms use power-of-two buckets because the
 quantities they hold (detection latencies in instructions, downtime in

@@ -1,6 +1,8 @@
-"""Reading, folding and rendering JSONL campaign traces.
+"""Reading, folding and rendering campaign traces.
 
-The reader is deliberately forgiving, like the result-log import of
+Campaigns store their traces in the campaign database; JSONL trace
+files are the import format of ``repro ingest --trace``, read by
+:func:`read_trace`.  The reader is deliberately forgiving, like the result-log import of
 :meth:`repro.store.CampaignDatabase.ingest_results`: a truncated final
 line (crash mid-append) is dropped, blank lines are skipped, and unknown
 keys ride along untouched so traces written by a newer build still fold

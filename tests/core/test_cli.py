@@ -102,6 +102,18 @@ def test_campaign_device_conflicts_with_result_store(tmp_path, capsys):
     assert "express" in capsys.readouterr().err
 
 
+def test_campaign_trace_needs_a_result_store(tmp_path, capsys):
+    """--trace stores events with the run rows: without --results, and on
+    a device --results refuses, it is a usage error that runs nothing."""
+    assert main(["campaign", "--trace"]) == 2
+    assert "--results" in capsys.readouterr().err
+    path = tmp_path / "runs.db"
+    assert main(["campaign", "--device", "standard", "--trace",
+                 "--results", str(path)]) == 2
+    assert "express" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_availability_analytic_table(capsys):
     assert main(["availability", "--environment", "GEO"]) == 0
     out = capsys.readouterr().out
@@ -153,10 +165,11 @@ def test_campaign_reports_elapsed_wall_throughput(capsys):
 
 
 def test_campaign_trace_and_trace_stats_subcommands(tmp_path, capsys):
-    trace = str(tmp_path / "trace.jsonl")
+    trace = str(tmp_path / "trace.db")
     assert main(["campaign", "--program", "iutest", "--let", "110",
                  "--flux", "400", "--fluence", "600", "--ips", "20000",
-                 "--runs", "2", "--jobs", "2", "--trace", trace]) == 0
+                 "--runs", "2", "--jobs", "2", "--results", trace,
+                 "--trace"]) == 0
     capsys.readouterr()
 
     assert main(["trace", trace]) == 0
@@ -296,6 +309,38 @@ def test_non_database_file_is_a_usage_error(tmp_path, capsys, command):
     assert f"error: {bad}: not a campaign database" in err
     assert "repro ingest" in err  # it looks like a JSONL log
     assert bad.read_text() == '{"config": {}}\n'  # left untouched
+
+
+@pytest.mark.parametrize("command", [
+    ["campaign", "--fluence", "150", "--results", "{bad}"],
+    ["ingest", "README.md", "--db", "{bad}"],
+    ["trace", "{bad}"],
+])
+def test_unopenable_database_path_is_a_usage_error(tmp_path, capsys,
+                                                    command):
+    bad = tmp_path / "nodir" / "x.db"
+    code = main([part.replace("{bad}", str(bad)) for part in command])
+    assert code == 2
+    assert f"error: {bad}" in capsys.readouterr().err
+    assert not bad.parent.exists()
+
+
+def test_trace_of_an_untraced_campaign_is_a_usage_error(tmp_path, capsys):
+    path = str(tmp_path / "runs.db")
+    assert main(["campaign", "--fluence", "150", "--ips", "20000",
+                 "--results", path]) == 0
+    capsys.readouterr()
+    for command in ("trace", "stats"):
+        assert main([command, path]) == 2
+        assert "no trace events in campaign 'runs'" in \
+            capsys.readouterr().err
+
+
+def test_trace_file_passed_as_database_names_trace_import(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    trace.write_text('{"ev": "run-start", "run": 0}\n')
+    assert main(["stats", str(trace)]) == 2
+    assert f"repro ingest --trace {trace}" in capsys.readouterr().err
 
 
 def test_sweep_warm_start(capsys):

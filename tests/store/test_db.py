@@ -96,6 +96,17 @@ def test_campaign_resolution(db):
         db.campaign_id("missing")
 
 
+def test_digit_names_resolve_before_ids(db):
+    first = db.ensure_campaign("alpha")
+    seven = db.ensure_campaign("7")
+    assert db.campaign_id("7") == seven
+    assert db.campaign_id(str(first)) == first  # no campaign named "1"
+    assert db.campaign_id(first) == first
+    numbered = db.ensure_campaign(str(seven))
+    assert db.campaign_id(str(seven)) == numbered  # the name wins
+    assert db.campaign_id(seven) == seven  # an int is always an id
+
+
 def test_ingest_results_idempotent(db, tmp_path):
     path = str(tmp_path / "runs.jsonl")
     _write_log(path, [_result(seed=seed) for seed in (1, 2)])
@@ -119,15 +130,24 @@ def test_jsonl_and_database_sources_agree(db, tmp_path):
 
 
 def test_run_events_round_trip(db):
+    """A traced result's events are stored with its row, tagged with the
+    row's position."""
     campaign = db.ensure_campaign("alpha")
-    events = [{"ev": "strike", "target": "regfile", "run": 0},
-              {"ev": "detect", "target": "regfile", "run": 0}]
-    db.add_run_events(campaign, 4, events)
+    db.add_results(campaign, [_result(seed=9)])  # position 0, untraced
+    traced = _result(seed=1)
+    traced.trace = [{"ev": "strike", "target": "regfile", "run": 0},
+                    {"ev": "detect", "target": "regfile", "run": 0}]
+    db.add_results(campaign, [traced])
     stored = db.events(campaign)
     assert [event["ev"] for event in stored] == ["strike", "detect"]
-    assert all(event["run"] == 4 for event in stored)
+    assert all(event["run"] == 1 for event in stored)
     # Idempotent per run: replacing shrinks, never accumulates.
-    db.add_run_events(campaign, 4, events[:1])
+    traced.trace = traced.trace[:1]
+    db.add_results(campaign, [traced])
+    assert [event["run"] for event in db.events(campaign)] == [1]
+    # An untraced re-insert leaves the stored trace alone.
+    traced.trace = None
+    db.add_results(campaign, [traced])
     assert len(db.events(campaign)) == 1
 
 

@@ -19,7 +19,7 @@ from repro.store import (
     fold_results,
     trace_stats,
 )
-from repro.telemetry import JsonlTraceSink, fold_stats, read_trace
+from repro.telemetry import fold_stats, read_trace
 
 #: Tiny settings (2.25k instructions end to end): real campaign output
 #: at unit-test cost.
@@ -121,15 +121,19 @@ def test_trace_stats_identical_across_backends(tmp_path):
     config = _tiny()
     warm = prepare_warm_start(config)
     path = str(tmp_path / "trace.jsonl")
-    sink = JsonlTraceSink(path)
     results = CampaignExecutor(1, runner=run_campaign_traced).run_many(
         expand_runs(config, 3), warm=warm)
-    for run, result in enumerate(results):
-        sink.write_run(result.trace or [], run=run)
-    sink.close()
+    with open(path, "w", encoding="utf-8") as handle:
+        for run, result in enumerate(results):
+            for event in result.trace:
+                handle.write(json.dumps({"run": run, **event}) + "\n")
     with CampaignDatabase(":memory:") as db:
         campaign, events = db.ingest_trace(path, name="trace")
         assert events == len(read_trace(path))
+        # The imported trace is the trace add_results stores in place.
+        stored = db.ensure_campaign("stored")
+        db.add_results(stored, results)
+        assert db.events(stored) == db.events(campaign)
         stats_file = fold_stats(read_trace(path))
         assert trace_stats(db.events(campaign)) == {
             "runs": stats_file.runs,
